@@ -154,15 +154,30 @@ def _broadcast_check(a: Tensor, b: Tensor, opname: str) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes, broadcasting leading axes
+    like np.matmul; both operands must be at least 2-D.
+
+    The VJP sums a broadcast operand's cotangent back to its shape and
+    skips operands that do not require gradients (constant Laplacians).
+    """
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
+    try:
+        if ad.ndim < 2 or bd.ndim < 2:  # np.matmul would accept vectors
+            raise ValueError
+        out = ad @ bd  # raises ValueError on mismatched or unbroadcastable axes
+    except ValueError:
+        raise DimensionError(
+            f"matmul: incompatible shapes {a.shape} @ {b.shape}") from None
 
     def vjp(g):
-        return g @ bd.T, ad.T @ g
+        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) \
+            if a.requires_grad else None
+        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) \
+            if b.requires_grad else None
+        return ga, gb
 
-    return _result(ad @ bd, (a, b), vjp)
+    return _result(out, (a, b), vjp)
 
 
 def add(a, b) -> Tensor:

@@ -125,50 +125,6 @@ def load_stations(path) -> list[Station]:
     return stations
 
 
-def power_iteration_lambda_max(m: np.ndarray, tol: float = 1e-9,
-                               max_iter: int = 10_000) -> float:
-    """Algebraically largest eigenvalue of a symmetric matrix.
-
-    Power iteration on the Gershgorin-shifted matrix m + c*I (positive
-    semidefinite, so its dominant eigenvalue is lambda_max(m) + c). The
-    all-ones start can be exactly orthogonal to the dominant eigenvector
-    (equal-weight two-node graphs), so a second fixed start with staggered
-    entries is also iterated and the larger Rayleigh estimate wins.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected square matrix, got {m.shape}")
-    if not np.allclose(m, m.T, atol=1e-12):
-        raise ContractError("matrix is not symmetric")
-    n = m.shape[0]
-    if n == 1:
-        return float(m[0, 0])
-    shift = float(np.abs(m).sum(axis=1).max())
-    shifted = m + shift * np.eye(n)
-
-    def run(v):
-        # max-norm normalization lets the iterate settle on an exactly
-        # representable eigenvector (entries like +-1), at which point the
-        # Rayleigh quotient is computed without rounding; needed for the
-        # hand cases that must come out bitwise exact
-        v = v / np.max(np.abs(v))
-        for _ in range(max_iter):
-            av = shifted @ v
-            nv = float(np.max(np.abs(av)))
-            lam = float(v @ av) / float(v @ v)
-            if nv == 0.0:
-                return lam - shift
-            nxt = av / nv
-            if (nxt == v).all() or np.linalg.norm(av - lam * v) <= \
-                    tol * max(1.0, abs(lam)) * np.linalg.norm(v):
-                return lam - shift
-            v = nxt
-        raise NumericError(f"power iteration did not converge in {max_iter} steps")
-
-    starts = [np.ones(n), np.sin(np.arange(1, n + 1, dtype=np.float64))]
-    return max(run(v) for v in starts)
-
-
 @dataclass(frozen=True)
 class ScaledLaplacian:
     """Rescaled normalized Laplacian with its lambda_max and source tag."""
@@ -206,13 +162,16 @@ def normalized_laplacian(w: np.ndarray) -> np.ndarray:
 def scaled_laplacian(w: np.ndarray, source: str = "distance") -> ScaledLaplacian:
     """L = 2*Lbar/lambda_max - I for Lbar = I - D^(-1/2) W D^(-1/2).
 
-    lambda_max comes from power iteration on Lbar for the symmetric distance
-    graph; the antisymmetric flow-field variant fixes lambda_max = 2, the
-    upper bound for normalized Laplacians.
+    lambda_max is the top eigenvalue of Lbar for the symmetric distance graph
+    (a dense symmetric eigensolve, capped at 2, the upper bound for
+    normalized Laplacians, so roundoff cannot push it past); the
+    antisymmetric flow-field variant fixes lambda_max = 2.
     """
     lbar = normalized_laplacian(w)
     if source == "distance":
-        lam = power_iteration_lambda_max(lbar)
+        if not np.allclose(lbar, lbar.T, atol=1e-12):
+            raise ContractError("distance adjacency is not symmetric")
+        lam = min(float(np.linalg.eigvalsh(lbar)[-1]), 2.0)
         if lam <= 0:
             raise NumericError(f"non-positive lambda_max {lam}")
     elif source == "flow_field":

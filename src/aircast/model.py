@@ -4,8 +4,11 @@ A per-node GRU (weights shared across stations) reads the normalized history
 into a hidden state; an affine head with a tanh bottleneck emits the latent
 mean and log-std; the latent state is integrated through the physics-gated
 differential equation and an affine readout maps each latent step back to one
-normalized PM2.5 value, de-normalized for reporting. Minibatches stack
-samples along the node axis so every shared map stays a single matmul.
+normalized PM2.5 value, de-normalized for reporting. The GRU, the latent
+head and the readout are per-node maps with shared weights, so they run on
+the rows of all samples at once, (batch*n, features), sample-major; the
+latent ODE carries its state as (batch, n, latent), so diffusion and advection
+act on each sample's own n-station graph.
 """
 
 from __future__ import annotations
@@ -193,11 +196,12 @@ class DecoderParams:
 
 
 def decode_trajectory(traj: Tensor, params: DecoderParams) -> Tensor:
-    """(steps, rows, latent) -> (steps, rows, 1) through the shared affine map."""
-    steps, rows, latent = traj.shape
-    flat = ad.reshape(traj, (steps * rows, latent))
+    """(steps, ..., latent) -> (steps, rows, 1) through the shared affine map;
+    rows is the product of the axes between steps and latent."""
+    steps, latent = traj.shape[0], traj.shape[-1]
+    flat = ad.reshape(traj, (-1, latent))
     out = ad.matmul(flat, params.w) + params.b
-    return ad.reshape(out, (steps, rows, 1))
+    return ad.reshape(out, (steps, -1, 1))
 
 
 class Model:
@@ -231,7 +235,6 @@ class Model:
                 "physics.diffusion_coeff_raw"),
             gate_mode=config.gate_mode,
         )
-        self._mask_cache: dict[int, np.ndarray] = {}
         names = [p.name for p in self.parameters()]
         if len(set(names)) != len(names):
             dup = sorted({n for n in names if names.count(n) > 1})
@@ -257,14 +260,6 @@ class Model:
             "diffusion_coeff": [self.de.diffusion_coeff_raw],
         }
 
-    def _block_mask(self, batch: int) -> np.ndarray:
-        mask = self._mask_cache.get(batch)
-        if mask is None:
-            n = self.n_stations
-            mask = np.kron(np.eye(batch), np.ones((n, n)) - np.eye(n))
-            self._mask_cache[batch] = mask
-        return mask
-
     def _stack_batch(self, samples: Sequence[WindowSample]
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         cfg = self.config
@@ -282,15 +277,15 @@ class Model:
                 raise DimensionError(
                     f"wind shape {s.p_hist.shape} does not match "
                     f"({cfg.history_steps}, {n}, 2)")
-        # (steps, batch*n, c): samples stacked along the node axis
+        # history (steps, batch*n, 1) for the per-node encoder; wind (batch, n, 2)
         x = np.concatenate([s.x_hist for s in samples], axis=1)
-        wind_last = np.concatenate([s.p_hist[-1] for s in samples], axis=0)
+        wind_last = np.stack([s.p_hist[-1] for s in samples])
         future = np.concatenate([s.x_future for s in samples], axis=1)
         return x, wind_last, future
 
     def forward_batch(self, samples: Sequence[WindowSample], mode: str,
                       eps_rng: np.random.Generator | None = None) -> Tensor:
-        """Normalized predictions (horizon, batch*n, 1) for stacked samples."""
+        """Normalized predictions (horizon, batch*n, 1), sample-major rows."""
         if not samples:
             raise ContractError("empty batch")
         if mode not in ("train", "infer"):
@@ -303,9 +298,9 @@ class Model:
             eps = eps_rng.standard_normal(mu.shape)
         else:
             eps = None
-        z0 = reparameterize(mu, sigma, eps)
-        self.de.set_flow_from_wind(Tensor(wind_last),
-                                   self._block_mask(len(samples)))
+        z0 = ad.reshape(reparameterize(mu, sigma, eps),
+                        (len(samples), self.n_stations, self.config.latent_dim))
+        self.de.set_flow_from_wind(Tensor(wind_last))
         grid = TimeGrid.unit(self.config.horizon_steps)
         traj = ode_solve(self.de, z0, grid, self.solver, mode)
         return decode_trajectory(traj, self.decoder)
@@ -323,8 +318,6 @@ class Model:
         else:
             pred = self.forward_batch([sample], mode, eps_rng)
         return self.stats.denormalize(pred.data)
-
-    predict = forward_sample
 
 
 CHECKPOINT_FORMAT = "aircast-checkpoint-v1"

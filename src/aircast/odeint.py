@@ -140,7 +140,8 @@ def dopri5_integrate_stats(f: Callable[[float, Tensor], Tensor], z0: Tensor,
                            ) -> tuple[list[Tensor], IntegrationStats]:
     """Adaptive Dormand-Prince 5(4) integration with step statistics.
 
-    Error norm per attempt is the RMS over components of
+    Error norm per attempt is the RMS over all components of the state,
+    every sample of a batch included, of
     err_c / (atol + rtol * max(|z_c|, |z5_c|)); a step is accepted when the
     norm is at most 1 and the next step is h * clamp(safety * norm^(-1/5),
     factor_min, factor_max). Steps are clipped so integration lands exactly

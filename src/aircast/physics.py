@@ -51,9 +51,10 @@ class FlowNetParams:
 
 
 def flow_potentials(wind: Tensor, params: FlowNetParams) -> Tensor:
-    """Scalar potential per node from its (u, v) wind components."""
-    if wind.data.ndim != 2 or wind.shape[1] != 2:
-        raise DimensionError(f"wind must be (n, 2), got {wind.shape}")
+    """Scalar potential per node, (..., n, 1), from its (u, v) wind components."""
+    if wind.data.ndim not in (2, 3) or wind.shape[-1] != 2:
+        raise DimensionError(
+            f"wind must be (n, 2) or (batch, n, 2), got {wind.shape}")
     hidden = ad.tanh(ad.matmul(wind, params.w1) + params.b1)
     return ad.matmul(hidden, params.w2) + params.b2
 
@@ -65,36 +66,30 @@ def flow_field_adjacency(wind: Tensor, params: FlowNetParams) -> Tensor:
     of entry (i, j) because both come from the same subtraction operands.
     """
     p = flow_potentials(wind, params)
-    n = p.shape[0]
-    return ad.sub(p, ad.reshape(p, (1, n)))
+    n = p.shape[-2]
+    return ad.sub(p, ad.reshape(p, p.shape[:-2] + (1, n)))
 
 
-def flow_scaled_laplacian(wind: Tensor, params: FlowNetParams,
-                          mask: np.ndarray | None = None) -> Tensor:
+def flow_scaled_laplacian(wind: Tensor, params: FlowNetParams) -> Tensor:
     """Differentiable scaled Laplacian of the flow-field graph.
 
-    Uses the fixed lambda_max = 2 bound, which reduces the rescaled form to
+    Wind of shape (n, 2) gives one (n, n) Laplacian; a minibatch of winds
+    (batch, n, 2) gives one Laplacian per sample, (batch, n, n), each equal
+    bit for bit to the Laplacian of that sample alone. Uses the fixed
+    lambda_max = 2 bound, which reduces the rescaled form to
     -D^(-1/2) W D^(-1/2) with D_ii = sum_j |w_ij|; zero-degree rows come out
-    identically zero. An optional 0/1 mask (zero diagonal) restricts edges;
-    a block-diagonal mask turns a stacked minibatch of node sets into the
-    block-diagonal Laplacian of the per-sample graphs.
+    identically zero. The off-diagonal mask carries the leading minus sign:
+    multiplying by -(1 - I) instead of (1 - I) and negating at the end gives
+    the same bits with one primitive fewer.
     """
     w = flow_field_adjacency(wind, params)
-    n = w.shape[0]
-    if mask is None:
-        mask_arr = 1.0 - np.eye(n)
-    else:
-        mask_arr = np.asarray(mask, dtype=np.float64)
-        if mask_arr.shape != (n, n):
-            raise DimensionError(f"mask {mask_arr.shape} does not match {n} nodes")
-        if np.diag(mask_arr).any():
-            raise ContractError("mask diagonal must be zero")
-    w = ad.mul(w, Tensor(mask_arr))
-    deg = ad.reduce_sum(ad.absolute(w), axis=1)
+    n = w.shape[-1]
+    w = ad.mul(w, Tensor(np.eye(n) - 1.0))
+    deg = ad.reduce_sum(ad.absolute(w), axis=-1)
     inv_sqrt = ad.safe_inv_sqrt(deg)
-    scaled = ad.mul(ad.mul(w, ad.reshape(inv_sqrt, (n, 1))),
-                    ad.reshape(inv_sqrt, (1, n)))
-    return ad.neg(scaled)
+    lead = deg.shape[:-1]
+    return ad.mul(ad.mul(w, ad.reshape(inv_sqrt, lead + (n, 1))),
+                  ad.reshape(inv_sqrt, lead + (1, n)))
 
 
 @dataclass
@@ -136,10 +131,15 @@ class ChebBranchParams:
 
 
 def cheb_branch(lap: Tensor, h0: Tensor, params: ChebBranchParams) -> Tensor:
-    """Residual sum h0 + sum_l act(sum_k Lap^k H theta_k)."""
-    if lap.data.ndim != 2 or lap.shape[0] != lap.shape[1]:
+    """Residual sum h0 + sum_l act(sum_k Lap^k H theta_k).
+
+    The state is (n, latent) or a minibatch (batch, n, latent). lap is one
+    (n, n) Laplacian shared by every sample or a stack (batch, n, n) with one
+    per sample; either way each power is a single batched matmul.
+    """
+    if lap.data.ndim not in (2, 3) or lap.shape[-1] != lap.shape[-2]:
         raise DimensionError(f"laplacian must be square, got {lap.shape}")
-    if h0.data.ndim != 2 or h0.shape[0] != lap.shape[0]:
+    if h0.data.ndim not in (2, 3) or h0.shape[-2] != lap.shape[-1]:
         raise DimensionError(
             f"state {h0.shape} does not match laplacian {lap.shape}")
     h = h0
@@ -201,8 +201,10 @@ class DEFunction:
 
     Holds the fixed distance Laplacian, both Chebyshev branches, the fusion
     gate, and the raw diffusion coefficient (softplus keeps it positive).
-    The flow-field Laplacian is sample state and must be set before a call;
-    gate_mode can pin alpha to 1 (diffusion only) or 0 (advection only).
+    The flow-field Laplacian is sample state and must be set before a call:
+    one (n, n) Laplacian for a state (n, latent), or one per sample,
+    (batch, n, n), for a state (batch, n, latent). gate_mode can pin alpha to
+    1 (diffusion only) or 0 (advection only).
     """
 
     def __init__(self, dist_lap: ScaledLaplacian, flow: FlowNetParams,
@@ -220,8 +222,8 @@ class DEFunction:
         self.fusion = fusion
         self.diffusion_coeff_raw = diffusion_coeff_raw
         self.gate_mode = gate_mode
+        self.dist_tensor = Tensor(dist_lap.matrix)
         self.flow_lap: Tensor | None = None
-        self._dist_cache: dict[int, Tensor] = {}
 
     @staticmethod
     def raw_coefficient(value: float) -> float:
@@ -239,45 +241,31 @@ class DEFunction:
                 + [self.diffusion_coeff_raw])
 
     def set_flow_laplacian(self, lap: Tensor) -> None:
-        if lap.data.ndim != 2 or lap.shape[0] != lap.shape[1]:
-            raise DimensionError(f"flow laplacian must be square, got {lap.shape}")
+        if lap.data.ndim not in (2, 3) or lap.shape[-1] != lap.shape[-2]:
+            raise DimensionError(
+                f"flow laplacian must be (n, n) or (batch, n, n), got {lap.shape}")
         self.flow_lap = lap
 
-    def set_flow_from_wind(self, wind: Tensor, mask: np.ndarray | None = None) -> None:
-        self.set_flow_laplacian(flow_scaled_laplacian(wind, self.flow, mask))
-
-    def _distance_tensor(self, rows: int) -> Tensor:
-        """Distance Laplacian lifted to a stacked batch (block-diagonal)."""
-        cached = self._dist_cache.get(rows)
-        if cached is not None:
-            return cached
-        n = self.dist_lap.matrix.shape[0]
-        if rows % n:
-            raise DimensionError(f"state rows {rows} not a multiple of graph size {n}")
-        reps = rows // n
-        mat = self.dist_lap.matrix if reps == 1 else \
-            np.kron(np.eye(reps), self.dist_lap.matrix)
-        tensor = Tensor(mat)
-        self._dist_cache[rows] = tensor
-        return tensor
+    def set_flow_from_wind(self, wind: Tensor) -> None:
+        self.set_flow_laplacian(flow_scaled_laplacian(wind, self.flow))
 
     def __call__(self, t: float, z: Tensor) -> Tensor:
         if self.flow_lap is None:
             raise ConfigurationError("flow-field laplacian has not been set")
-        if z.data.ndim != 2:
-            raise DimensionError(f"state must be 2-D, got {z.shape}")
-        if self.flow_lap.shape[0] != z.shape[0]:
+        if z.data.ndim not in (2, 3):
             raise DimensionError(
-                f"state rows {z.shape[0]} do not match flow laplacian "
+                f"state must be (n, latent) or (batch, n, latent), got {z.shape}")
+        if z.shape[:-1] != self.flow_lap.shape[:-1]:
+            raise DimensionError(
+                f"state {z.shape} does not match flow laplacian "
                 f"{self.flow_lap.shape}")
         coeff = self.diffusion_coefficient()
         if self.gate_mode == "diff_only":
-            h_diff = cheb_branch(self._distance_tensor(z.shape[0]), z,
-                                 self.diff_branch)
+            h_diff = cheb_branch(self.dist_tensor, z, self.diff_branch)
             return ad.neg(ad.mul(h_diff, coeff))
         if self.gate_mode == "adv_only":
             return ad.neg(cheb_branch(self.flow_lap, z, self.adv_branch))
-        h_diff = cheb_branch(self._distance_tensor(z.shape[0]), z, self.diff_branch)
+        h_diff = cheb_branch(self.dist_tensor, z, self.diff_branch)
         h_adv = cheb_branch(self.flow_lap, z, self.adv_branch)
         alpha = gate_alpha(h_diff, h_adv, self.fusion)
         return ad.neg(ad.mul(alpha, ad.mul(h_diff, coeff))

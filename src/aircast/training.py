@@ -185,7 +185,8 @@ def train_loop(model: Model, split: DatasetSplit, cfg: TrainConfig,
                 ad.backward(loss)
                 clip_gradients(model.parameters(), cfg.clip_norm)
                 opt.step(lr)
-                coeff = model.de.diffusion_coefficient().item()
+                with no_grad():
+                    coeff = model.de.diffusion_coefficient().item()
                 if not coeff > 0:
                     raise NumericError(
                         f"diffusion coefficient became non-positive ({coeff})")

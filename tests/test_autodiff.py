@@ -52,6 +52,40 @@ def test_matmul_shape_errors():
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(DimensionError):
         ad.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 1))))
+    with pytest.raises(DimensionError):  # batch axes 2 and 3 do not broadcast
+        ad.matmul(Tensor(np.ones((2, 3, 3))), Tensor(np.ones((3, 3, 1))))
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((4, 4), (3, 4, 2)),     # shared Laplacian @ batched state
+    ((3, 4, 4), (3, 4, 2)),  # per-sample Laplacians @ batched state
+    ((3, 4, 2), (2, 2)),     # batched state @ shared weights
+])
+def test_broadcast_matmul_gradients_fd(rng, a_shape, b_shape):
+    a = Parameter(rng.standard_normal(a_shape), "a")
+    b = Parameter(rng.standard_normal(b_shape), "b")
+    out_shape = np.broadcast_shapes(a_shape[:-2], b_shape[:-2]) \
+        + (a_shape[-2], b_shape[-1])
+    w = Tensor(rng.standard_normal(out_shape))
+
+    def f():
+        return ad.reduce_sum(ad.mul(ad.matmul(a, b), w))
+
+    # the shared operand's gradient is summed over the batch it broadcast to
+    assert finite_diff_check(f, [a, b]) < 1e-6
+    assert a.grad.shape == a_shape and b.grad.shape == b_shape
+
+    # an operand that needs no gradient gets no cotangent at all
+    g = rng.standard_normal(out_shape)
+    for const_a in (True, False):
+        lhs = Tensor(a.data) if const_a else a
+        rhs = b if const_a else Tensor(b.data)
+        clear_tape()
+        ad.matmul(lhs, rhs)
+        (_, _, vjp), = ad._tape()
+        ga, gb = vjp(g)
+        assert (ga is None) == const_a and (gb is None) == (not const_a)
+    clear_tape()
 
 
 def test_broadcast_add_gradient_matches_loop_oracle(rng):

@@ -9,8 +9,7 @@ from aircast.errors import (ContractError, DataError, DegenerateGraphError,
                             ParseError)
 from aircast.graph import (EARTH_RADIUS_KM, SensorGraph, Station,
                            distance_adjacency, haversine_km, load_stations,
-                           normalized_laplacian, power_iteration_lambda_max,
-                           scaled_laplacian)
+                           normalized_laplacian, scaled_laplacian)
 
 from conftest import grid_stations
 
@@ -115,32 +114,6 @@ def test_load_stations_errors(tmp_path):
         load_stations(empty)
 
 
-def test_power_iteration_matches_eigensolve(rng):
-    for _ in range(20):
-        n = int(rng.integers(2, 9))
-        m = rng.standard_normal((n, n))
-        m = (m + m.T) / 2.0
-        expected = float(np.linalg.eigvalsh(m)[-1])
-        got = power_iteration_lambda_max(m)
-        assert got == pytest.approx(expected, abs=1e-6)
-
-
-def test_power_iteration_identity():
-    assert power_iteration_lambda_max(np.eye(5)) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_power_iteration_survives_orthogonal_ones_start():
-    # dominant eigenvector (1, -1) is orthogonal to the all-ones start,
-    # which is exactly the two-node equal-weight normalized Laplacian
-    m = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert power_iteration_lambda_max(m) == pytest.approx(2.0, abs=1e-9)
-
-
-def test_power_iteration_rejects_asymmetric():
-    with pytest.raises(ContractError):
-        power_iteration_lambda_max(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 def test_normalized_laplacian_two_node_exact():
     w = np.array([[0.0, 1.0], [1.0, 0.0]])
     lbar = normalized_laplacian(w)
@@ -153,6 +126,26 @@ def test_scaled_laplacian_two_node_exact():
     # lambda_max = 2 here, so the rescaled matrix is exactly Lbar - I
     assert (scaled.matrix == np.array([[0.0, -1.0], [-1.0, 0.0]])).all()
     assert scaled.lambda_max == pytest.approx(2.0, abs=1e-9)
+
+
+def test_scaled_laplacian_realistic_layouts_top_eigenvalue_one():
+    # near-equal top eigenvalues of Lbar on station layouts (grid_stations(35)
+    # among them) once defeated an iterative lambda_max estimate
+    rng = np.random.default_rng(2024)
+    for n in range(2, 81):
+        lat = rng.uniform(39.4, 41.1, size=n)
+        lon = rng.uniform(115.4, 117.5, size=n)
+        layouts = (grid_stations(n),
+                   [Station(f"r{i}", a, o) for i, (a, o) in enumerate(zip(lat, lon))])
+        for stations in layouts:
+            scaled = scaled_laplacian(distance_adjacency(stations), "distance")
+            top = np.linalg.eigvalsh(scaled.matrix)[-1]
+            assert abs(top - 1.0) <= 1e-10, (n, top)
+
+
+def test_scaled_laplacian_rejects_asymmetric_distance_graph():
+    with pytest.raises(ContractError):
+        scaled_laplacian(np.array([[0.0, 1.0], [0.5, 0.0]]), "distance")
 
 
 def test_scaled_laplacian_spectrum_bounded(rng):

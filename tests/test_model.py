@@ -244,6 +244,18 @@ def test_forward_batch_matches_single_samples(rng):
     np.testing.assert_allclose(batched[:, 3:], two, atol=1e-9)
 
 
+def test_forward_batch_train_records_no_stacked_graph(rng):
+    # each sample keeps its own n-node graph: nothing on the tape is sized
+    # like a Laplacian over all batch*n nodes
+    n, batch = 6, 8
+    model = Model(toy_graph(n), tiny_config())
+    samples = [make_sample(rng, n, 2, 2, start_index=k) for k in range(batch)]
+    pred = model.forward_batch(samples, "train", np.random.default_rng(0))
+    assert pred.shape == (2, batch * n, 1)
+    sizes = {out.data.size for out, _, _ in ad._tape()}
+    assert (batch * n) ** 2 not in sizes
+
+
 def test_forward_batch_train_draw_reproducible(rng):
     model = Model(toy_graph(3), tiny_config())
     sample = make_sample(rng, 3, 2, 2)
@@ -268,8 +280,7 @@ def test_forward_sample_denormalizes(rng):
     with no_grad():
         normalized = model.forward_batch([sample], "infer").data
     np.testing.assert_array_equal(out, normalized * 25.0 + 60.0)
-    assert model.predict is Model.forward_sample or True  # alias exists
-    np.testing.assert_array_equal(model.predict(sample), out)
+    np.testing.assert_array_equal(model.forward_sample(sample), out)
 
 
 def test_forward_sample_requires_stats(rng):

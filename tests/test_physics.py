@@ -10,10 +10,10 @@ from aircast import graph
 from aircast.autodiff import Parameter, Tensor, backward, clear_tape, no_grad
 from aircast.errors import (ConfigurationError, ContractError, DimensionError,
                             NumericError)
-from aircast.physics import (ChebBranchParams, DEFunction, FlowNetParams,
-                             FusionParams, cheb_branch, flow_field_adjacency,
-                             flow_potentials, flow_scaled_laplacian,
-                             gate_alpha, gated_fusion,
+from aircast.physics import (GATE_MODES, ChebBranchParams, DEFunction,
+                             FlowNetParams, FusionParams, cheb_branch,
+                             flow_field_adjacency, flow_potentials,
+                             flow_scaled_laplacian, gate_alpha, gated_fusion,
                              simulate_advection_reference,
                              simulate_diffusion_reference, uniform_param)
 
@@ -86,27 +86,30 @@ def test_flow_scaled_laplacian_constant_potential_is_zero(rng):
 
 
 def test_flow_scaled_laplacian_mask_rules(rng):
+    # the off-diagonal mask zeroes every self-loop, one graph or a batch,
+    # and a wind that is not (n, 2) or (batch, n, 2) is a typed error
     params = make_flow(rng)
-    wind = random_wind(rng, 4)
-    with pytest.raises(DimensionError):
-        flow_scaled_laplacian(wind, params, mask=np.ones((3, 3)))
-    with pytest.raises(ContractError):
-        flow_scaled_laplacian(wind, params, mask=np.ones((4, 4)))
+    with no_grad():
+        one = flow_scaled_laplacian(random_wind(rng, 4), params).data
+        batch = flow_scaled_laplacian(
+            Tensor(rng.standard_normal((3, 4, 2))), params).data
+    assert one.shape == (4, 4) and batch.shape == (3, 4, 4)
+    assert not np.diagonal(one).any()
+    assert not np.diagonal(batch, axis1=1, axis2=2).any()
+    for bad in ((4, 3), (4,), (2, 3, 4, 2)):
+        with pytest.raises(DimensionError):
+            flow_scaled_laplacian(Tensor(np.zeros(bad)), params)
 
 
 def test_flow_scaled_laplacian_block_mask_is_block_diagonal(rng):
+    # a batch of winds gives each sample its own Laplacian, bit for bit the
+    # one of that sample alone: the diagonal blocks of the stacked graph
     params = make_flow(rng)
-    w1 = rng.standard_normal((3, 2))
-    w2 = rng.standard_normal((3, 2))
-    mask = np.kron(np.eye(2), 1.0 - np.eye(3))
+    winds = rng.standard_normal((3, 5, 2)) * 3.0
     with no_grad():
-        stacked = flow_scaled_laplacian(Tensor(np.vstack([w1, w2])), params,
-                                        mask=mask).data
-        lap1 = flow_scaled_laplacian(Tensor(w1), params).data
-        lap2 = flow_scaled_laplacian(Tensor(w2), params).data
-    np.testing.assert_array_equal(stacked[:3, :3], lap1)
-    np.testing.assert_array_equal(stacked[3:, 3:], lap2)
-    np.testing.assert_array_equal(stacked[:3, 3:], np.zeros((3, 3)))
+        batched = flow_scaled_laplacian(Tensor(winds), params).data
+        singles = [flow_scaled_laplacian(Tensor(w), params).data for w in winds]
+    np.testing.assert_array_equal(batched, np.stack(singles))
 
 
 def test_flow_scaled_laplacian_gradient(rng):
@@ -336,22 +339,22 @@ def test_de_function_saturated_gate_matches_diff_only(rng):
 
 
 def test_de_function_batch_block_diagonal(rng):
-    func = make_de_function(rng, n=3)
-    z1 = rng.standard_normal((3, 3))
-    z2 = rng.standard_normal((3, 3))
-    wind1 = random_wind(rng, 3)
-    wind2 = random_wind(rng, 3)
-    mask = np.kron(np.eye(2), 1.0 - np.eye(3))
-    with no_grad():
-        func.set_flow_from_wind(wind1)
-        out1 = func(0.0, Tensor(z1)).data
-        func.set_flow_from_wind(wind2)
-        out2 = func(0.0, Tensor(z2)).data
-        stacked_wind = Tensor(np.vstack([wind1.data, wind2.data]))
-        func.set_flow_from_wind(stacked_wind, mask=mask)
-        batched = func(0.0, Tensor(np.vstack([z1, z2]))).data
-    np.testing.assert_allclose(batched[:3], out1, atol=1e-12)
-    np.testing.assert_allclose(batched[3:], out2, atol=1e-12)
+    # a (batch, n, latent) state with per-sample flow Laplacians evolves each
+    # sample as if alone; no sample sees another's nodes
+    winds = [random_wind(rng, 3) for _ in range(4)]
+    zs = [rng.standard_normal((3, 3)) for _ in range(4)]
+    for mode in GATE_MODES:
+        func = make_de_function(rng, n=3, gate_mode=mode)
+        with no_grad():
+            singles = []
+            for wind, z in zip(winds, zs):
+                func.set_flow_from_wind(wind)
+                singles.append(func(0.0, Tensor(z)).data)
+            func.set_flow_from_wind(Tensor(np.stack([w.data for w in winds])))
+            batched = func(0.0, Tensor(np.stack(zs))).data
+        assert batched.shape == (4, 3, 3)
+        np.testing.assert_allclose(batched, np.stack(singles), rtol=0,
+                                   atol=1e-12)
 
 
 def test_de_function_state_shape_checks(rng):
@@ -360,6 +363,8 @@ def test_de_function_state_shape_checks(rng):
         func(0.0, Tensor(np.zeros(4)))
     with pytest.raises(DimensionError):
         func(0.0, Tensor(np.zeros((5, 3))))
+    with pytest.raises(DimensionError):  # batched state, single flow graph
+        func(0.0, Tensor(np.zeros((2, 4, 3))))
 
 
 def test_de_function_gradient_all_parameters(rng):

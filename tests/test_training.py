@@ -177,6 +177,14 @@ def test_train_loop_runs_and_logs(tmp_path):
     assert float(first[2]) == rows[0]["train_mae"]  # repr() roundtrips exactly
 
 
+def test_train_loop_leaves_tape_empty():
+    # nothing recorded after the last backward() may leak into the next run
+    split = tiny_split()
+    cfg = TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=1)
+    train_loop(tiny_model(), split, cfg)
+    assert ad.tape_size() == 0
+
+
 def test_train_loop_bitwise_reproducible(tmp_path):
     split = tiny_split()
     cfg = TrainConfig(batch_size=8, learning_rate=1e-3, max_epochs=2,
