@@ -144,13 +144,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _broadcast_check(a: Tensor, b: Tensor, opname: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise DimensionError(
-            f"{opname}: shapes {a.shape} and {b.shape} do not broadcast"
-        ) from None
+def _no_broadcast(opname: str, a: Tensor, b: Tensor) -> DimensionError:
+    return DimensionError(
+        f"{opname}: shapes {a.shape} and {b.shape} do not broadcast")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -182,36 +178,45 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check(a, b, "add")
+    try:
+        out = a.data + b.data
+    except ValueError:  # numpy's broadcast failure
+        raise _no_broadcast("add", a, b) from None
     ash, bsh = a.shape, b.shape
 
     def vjp(g):
         return _unbroadcast(g, ash), _unbroadcast(g, bsh)
 
-    return _result(a.data + b.data, (a, b), vjp)
+    return _result(out, (a, b), vjp)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check(a, b, "sub")
+    try:
+        out = a.data - b.data
+    except ValueError:
+        raise _no_broadcast("sub", a, b) from None
     ash, bsh = a.shape, b.shape
 
     def vjp(g):
         return _unbroadcast(g, ash), _unbroadcast(-g, bsh)
 
-    return _result(a.data - b.data, (a, b), vjp)
+    return _result(out, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check(a, b, "mul")
     ad, bd = a.data, b.data
+    try:
+        out = ad * bd
+    except ValueError:
+        raise _no_broadcast("mul", a, b) from None
     ash, bsh = a.shape, b.shape
 
     def vjp(g):
         return _unbroadcast(g * bd, ash), _unbroadcast(g * ad, bsh)
 
-    return _result(ad * bd, (a, b), vjp)
+    return _result(out, (a, b), vjp)
 
 
 def neg(a) -> Tensor:

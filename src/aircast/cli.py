@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import no_grad
 from .baselines import fit_var, ha_forecast, var_forecast
 from .data import (Dataset, chronological_split, impute_missing,
                    load_dataset, make_windows, parse_readings, resample_3h,
@@ -274,11 +275,15 @@ def cmd_predict(args) -> int:
     origins = _select_test_origins(windows, ratio, cfg.horizon_steps)
     stats = model.stats
     ids = [s.station_id for s in dataset.stations]
+    samples = [replace(w, x_hist=stats.normalize(w.x_hist)) for w in origins]
+    with no_grad():
+        pred = model.forward_batch(samples, "infer")
+    # (horizon, origins * n): each origin's n stations side by side
+    forecasts = stats.denormalize(pred.data[:, :, 0])
+    n = len(ids)
     pred_rows, truth_rows = [], []
-    for w in origins:
-        sample = replace(w, x_hist=stats.normalize(w.x_hist),
-                         x_future=stats.normalize(w.x_future))
-        forecast = model.forward_sample(sample)[:, :, 0]
+    for i, w in enumerate(origins):
+        forecast = forecasts[:, i * n:(i + 1) * n]
         pred_rows.extend(_forecast_rows(w, ids, forecast, cfg.history_steps,
                                         horizon))
         truth_rows.extend(_forecast_rows(w, ids, w.x_future[:, :, 0],

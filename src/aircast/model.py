@@ -23,8 +23,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor, no_grad
 from .data import NormStats, WindowSample
-from .errors import (ConfigurationError, ContractError, DimensionError,
-                     FormatError)
+from .errors import (ConfigurationError, ContractError, DataError,
+                     DimensionError, FormatError)
 from .graph import ScaledLaplacian, SensorGraph, scaled_laplacian
 from .odeint import SolverConfig, TimeGrid, ode_solve
 from .physics import (ChebBranchParams, DEFunction, FlowNetParams, FusionParams,
@@ -322,6 +322,7 @@ class Model:
 
 CHECKPOINT_FORMAT = "aircast-checkpoint-v1"
 _LAPLACIAN_KEY = "graph.dist_laplacian"
+_LAPLACIAN_RTOL = 1e-9  # of the largest entry; eigvalsh rounding is ~1e-15
 
 
 @dataclass
@@ -392,7 +393,8 @@ def load_checkpoint(path) -> ModelCheckpoint:
 
 def model_from_checkpoint(ckpt: ModelCheckpoint, graph: SensorGraph,
                           solver: SolverConfig | None = None) -> Model:
-    """Rebuild a model and load parameters, verifying every array shape."""
+    """Rebuild a model and load parameters, verifying every array shape and
+    that the stored distance Laplacian is the one the graph gives."""
     saved_lap = ckpt.arrays.get(_LAPLACIAN_KEY)
     if saved_lap is None:
         raise FormatError(f"checkpoint missing array {_LAPLACIAN_KEY!r}")
@@ -403,10 +405,17 @@ def model_from_checkpoint(ckpt: ModelCheckpoint, graph: SensorGraph,
             f"{saved_lap.shape})")
     model = Model(graph, ckpt.config,
                   stats=NormStats(ckpt.norm_mean, ckpt.norm_std), solver=solver)
-    if saved_lap.shape != model.dist_lap.matrix.shape:
+    rebuilt = model.dist_lap.matrix
+    if saved_lap.shape != rebuilt.shape:
         raise DimensionError(
             f"array {_LAPLACIAN_KEY!r} has shape {saved_lap.shape}, graph "
-            f"needs {model.dist_lap.matrix.shape}")
+            f"needs {rebuilt.shape}")
+    gap = float(np.abs(saved_lap - rebuilt).max())
+    if not gap <= _LAPLACIAN_RTOL * float(np.abs(rebuilt).max()):  # NaN too
+        raise DataError(
+            f"array {_LAPLACIAN_KEY!r} differs from the graph's distance "
+            f"Laplacian by up to {gap:.3g}: the checkpoint was trained on "
+            f"another station layout")
     for p in model.parameters():
         saved = ckpt.arrays.get(p.name)
         if saved is None:

@@ -3,7 +3,9 @@
 Fixed-step Euler/RK4 run on tensors and stay differentiable (training path).
 The adaptive Dormand-Prince 5(4) integrator drives its step-size controller on
 raw float64 arrays with recording disabled; it is the inference path and is
-not differentiable.
+not differentiable. It integrates a (batch, n, latent) state as independent
+systems, each under its own step-size control, so a sample's forecast does
+not depend on the other samples of its batch.
 """
 
 from __future__ import annotations
@@ -135,67 +137,104 @@ _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                     -17253 / 339200, 22 / 525, -1 / 40])
 
 
-def dopri5_integrate_stats(f: Callable[[float, Tensor], Tensor], z0: Tensor,
-                           grid: TimeGrid, cfg: SolverConfig
+def dopri5_integrate_stats(f: Callable[[float | np.ndarray, Tensor], Tensor],
+                           z0: Tensor, grid: TimeGrid, cfg: SolverConfig
                            ) -> tuple[list[Tensor], IntegrationStats]:
     """Adaptive Dormand-Prince 5(4) integration with step statistics.
 
-    Error norm per attempt is the RMS over all components of the state,
-    every sample of a batch included, of
+    A 3-D state (batch, n, latent) is `batch` independent systems; any
+    other state is one system. Each system has its own time, step size,
+    step budget and accept/reject decision. Its error norm per attempt is
+    the RMS over that system's components of
     err_c / (atol + rtol * max(|z_c|, |z5_c|)); a step is accepted when the
     norm is at most 1 and the next step is h * clamp(safety * norm^(-1/5),
-    factor_min, factor_max). Steps are clipped so integration lands exactly
-    on every grid time.
+    factor_min, factor_max). Steps are clipped so each system lands exactly
+    on every grid time. A batched state therefore takes, per sample, the
+    steps that sample would take alone.
+
+    Every attempt evaluates f once per stage on the whole batch; a sample
+    that has reached the last grid time steps with h = 0 until the others
+    finish. f receives t as a float for one system and as a (batch,) array
+    of per-sample times for a 3-D state. `accepted` and `rejected` sum over
+    samples; `f_evals` counts calls of f.
     """
     stats = IntegrationStats()
-    states: list[Tensor] = []
+    batched = z0.data.ndim == 3
+    times = [float(t) for t in grid.times]
     with no_grad():
+        # y is (batch, *state) throughout; one system is a batch of one
         y = np.array(z0.data, dtype=np.float64, copy=True)
+        if not batched:
+            y = y[None]
+        batch = y.shape[0]
+        col = (batch,) + (1,) * (y.ndim - 1)  # per-sample scalar against y
+        out = np.empty((len(times) - 1,) + y.shape)
 
         def fnp(t, arr):
             stats.f_evals += 1
-            return f(t, Tensor(arr)).data
+            if batched:
+                return f(t, Tensor(arr)).data
+            return f(t[0], Tensor(arr[0])).data[None]
 
-        h = cfg.h_init
-        t = float(grid.times[0])
-        for target in grid.times[1:]:
-            target = float(target)
-            while t < target:
-                if stats.accepted + stats.rejected >= cfg.max_steps:
-                    raise NumericError(
-                        f"step budget {cfg.max_steps} exhausted at t={t:.6g} "
-                        f"(h={h:.3g})")
-                h_try = min(h, target - t)
-                if t + h_try <= t:
-                    raise NumericError(f"step size underflow at t={t:.6g}")
-                k = [fnp(t, y)]
-                for i in range(1, 7):
-                    yi = y + h_try * sum(a * kj for a, kj in zip(_DP_A[i], k))
-                    k.append(fnp(t + _DP_C[i] * h_try, yi))
-                y5 = y + h_try * sum(b * kj for b, kj in zip(_DP_B5, k) if b != 0.0)
-                err = h_try * sum(e * kj for e, kj in zip(_DP_ERR, k) if e != 0.0)
-                scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5))
-                norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        def at(b):
+            return f"t={t[b]:.6g}" + (f" in sample {b}" if batched else "")
+
+        t = [times[0]] * batch
+        h = [cfg.h_init] * batch
+        steps = [0] * batch
+        nxt = [1] * batch  # index of each sample's next grid time
+        while active := [b for b in range(batch) if nxt[b] < len(times)]:
+            h_try = [0.0] * batch
+            for b in active:
+                if steps[b] >= cfg.max_steps:
+                    raise NumericError(f"step budget {cfg.max_steps} exhausted "
+                                       f"at {at(b)} (h={h[b]:.3g})")
+                h_try[b] = min(h[b], times[nxt[b]] - t[b])
+                if t[b] + h_try[b] <= t[b]:
+                    raise NumericError(f"step size underflow at {at(b)}")
+            hv = np.array(h_try)
+            tv = np.array(t)
+            hy = hv.reshape(col)
+            k = [fnp(tv, y)]
+            for i in range(1, 7):
+                yi = y + hy * sum(a * kj for a, kj in zip(_DP_A[i], k))
+                k.append(fnp(tv + _DP_C[i] * hv, yi))
+            y5 = y + hy * sum(b * kj for b, kj in zip(_DP_B5, k) if b != 0.0)
+            err = hy * sum(e * kj for e, kj in zip(_DP_ERR, k) if e != 0.0)
+            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5))
+            norms = np.sqrt(np.mean(((err / scale) ** 2).reshape(batch, -1),
+                                    axis=1)).tolist()
+            accept = np.zeros(col, dtype=bool)
+            for b in active:
+                norm = norms[b]
                 if not np.isfinite(norm):
-                    raise NumericError(f"non-finite error estimate at t={t:.6g}")
+                    raise NumericError(f"non-finite error estimate at {at(b)}")
+                steps[b] += 1
                 if norm <= 1.0:
                     stats.accepted += 1
-                    t_new = t + h_try
+                    accept[b] = True
+                    target = times[nxt[b]]
+                    t_new = t[b] + h_try[b]
                     # snap onto the grid time once the remainder is roundoff
-                    t = target if target - t_new <= 1e-12 * max(1.0, abs(target)) \
-                        else t_new
-                    y = y5
+                    near = target - t_new <= 1e-12 * max(1.0, abs(target))
+                    t[b] = target if near else t_new
                 else:
                     stats.rejected += 1
                 factor = cfg.factor_max if norm == 0.0 \
                     else cfg.safety * norm ** -0.2
-                h = h_try * min(cfg.factor_max, max(cfg.factor_min, factor))
-            states.append(Tensor(y.copy()))
-    return states, stats
+                h[b] = h_try[b] * min(cfg.factor_max, max(cfg.factor_min, factor))
+            y = np.where(accept, y5, y)
+            for b in active:
+                if t[b] == times[nxt[b]]:
+                    out[nxt[b] - 1, b] = y[b]
+                    nxt[b] += 1
+    states = out if batched else out[:, 0]
+    return [Tensor(s) for s in states], stats
 
 
-def dopri5_integrate(f: Callable[[float, Tensor], Tensor], z0: Tensor,
-                     grid: TimeGrid, cfg: SolverConfig | None = None) -> list[Tensor]:
+def dopri5_integrate(f: Callable[[float | np.ndarray, Tensor], Tensor],
+                     z0: Tensor, grid: TimeGrid,
+                     cfg: SolverConfig | None = None) -> list[Tensor]:
     """States at t_1..t_end from the adaptive integrator (not differentiable)."""
     states, _ = dopri5_integrate_stats(f, z0, grid, cfg or SolverConfig())
     return states

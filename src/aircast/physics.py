@@ -204,7 +204,9 @@ class DEFunction:
     The flow-field Laplacian is sample state and must be set before a call:
     one (n, n) Laplacian for a state (n, latent), or one per sample,
     (batch, n, n), for a state (batch, n, latent). gate_mode can pin alpha to
-    1 (diffusion only) or 0 (advection only).
+    1 (diffusion only) or 0 (advection only). The system is autonomous: the
+    time argument (a float, or per-sample times from a batched solve) is
+    ignored.
     """
 
     def __init__(self, dist_lap: ScaledLaplacian, flow: FlowNetParams,
@@ -249,7 +251,7 @@ class DEFunction:
     def set_flow_from_wind(self, wind: Tensor) -> None:
         self.set_flow_laplacian(flow_scaled_laplacian(wind, self.flow))
 
-    def __call__(self, t: float, z: Tensor) -> Tensor:
+    def __call__(self, t: float | np.ndarray, z: Tensor) -> Tensor:
         if self.flow_lap is None:
             raise ConfigurationError("flow-field laplacian has not been set")
         if z.data.ndim not in (2, 3):

@@ -125,6 +125,14 @@ def test_incompatible_broadcast_rejected():
         ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3))))
 
 
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+def test_broadcast_error_names_op_and_shapes(op):
+    with pytest.raises(DimensionError,
+                       match=rf"{op.__name__}: shapes \(2, 3\) and \(4,\) "
+                             "do not broadcast"):
+        op(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
+
+
 @pytest.mark.parametrize("op,ref", [
     (ad.tanh, np.tanh),
     (ad.exp, np.exp),

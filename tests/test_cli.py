@@ -4,14 +4,17 @@ from raw CSVs through training, forecasting, and evaluation."""
 import csv
 import re
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
 from aircast.cli import (SEED_ENV, build_parser, cli_dispatch, load_config)
-from aircast.data import load_dataset, split_counts
+from aircast.data import load_dataset, make_windows, split_counts
 from aircast.errors import ConfigurationError
+from aircast.graph import SensorGraph
+from aircast.model import load_checkpoint, model_from_checkpoint
 
 START = datetime(2017, 1, 1)
 N_STATIONS = 4
@@ -130,6 +133,25 @@ def test_predict_output_alignment(pipeline):
     assert rows[0][1] == "s0"
     for _, _, value in rows:
         assert np.isfinite(float(value))
+
+
+def test_predict_matches_per_origin_forward_sample(pipeline):
+    # the one batched solve over all origins gives each origin's own forecast
+    ckpt = load_checkpoint(pipeline["ckpt"])
+    ds = load_dataset(pipeline["data"])
+    graph = SensorGraph.from_stations(list(ds.stations), ds.max_distance_km)
+    model = model_from_checkpoint(ckpt, graph)
+    cfg = ckpt.config
+    windows = make_windows(ds.series, cfg.history_steps, cfg.horizon_steps)
+    n_train, n_val, _ = split_counts(len(windows), ckpt.split_ratio)
+    origins = windows[n_train + n_val::cfg.horizon_steps]
+    assert len(origins) >= 2
+    expected = [model.forward_sample(
+        replace(w, x_hist=model.stats.normalize(w.x_hist)))[:, :, 0].ravel()
+        for w in origins]
+    _, rows = read_csv_rows(pipeline["pred"])
+    np.testing.assert_allclose([float(r[2]) for r in rows],
+                               np.concatenate(expected), rtol=1e-12, atol=0)
 
 
 def test_truth_matches_readings(pipeline):

@@ -156,6 +156,62 @@ def test_dopri5_step_budget_error():
         dopri5_integrate(decay, Tensor([[1.0]]), TimeGrid([0.0, 100.0]), cfg)
 
 
+def decoupled_decay(rates):
+    """dz/dt = -rates * z elementwise; rates has the state's shape."""
+    op = Tensor(rates)
+    return lambda t, z: ad.neg(ad.mul(op, z))
+
+
+def test_dopri5_batch_is_per_sample_solo_runs(rng):
+    # a mild and a stiff decay share one (2, n, 1) state; each sample must
+    # take exactly the steps it takes alone
+    n = 4
+    rates = np.stack([rng.uniform(0.1, 1.0, (n, 1)),
+                      rng.uniform(20.0, 80.0, (n, 1))])
+    z0 = rng.standard_normal((2, n, 1))
+    grid = TimeGrid([0.0, 0.5, 1.25, 2.0])
+    cfg = SolverConfig(rtol=1e-7, atol=1e-7, h_init=0.5)
+    times_seen = []
+    batch_f = decoupled_decay(rates)
+
+    def f(t, z):
+        times_seen.append(t)
+        return batch_f(t, z)
+
+    states, stats = dopri5_integrate_stats(f, Tensor(z0), grid, cfg)
+    assert all(np.shape(t) == (2,) for t in times_seen)
+    solo = [dopri5_integrate_stats(decoupled_decay(rates[b]), Tensor(z0[b]),
+                                   grid, cfg) for b in range(2)]
+    for b, (solo_states, _) in enumerate(solo):
+        for batched, alone in zip(states, solo_states):
+            np.testing.assert_array_equal(batched.data[b], alone.data)
+    solo_stats = [st for _, st in solo]
+    assert solo_stats[1].rejected >= 1
+    assert solo_stats[1].accepted > 3 * solo_stats[0].accepted
+    assert stats.accepted == sum(st.accepted for st in solo_stats)
+    assert stats.rejected == sum(st.rejected for st in solo_stats)
+    # one batched call per stage until the slowest sample is done
+    assert stats.f_evals == 7 * max(st.accepted + st.rejected
+                                    for st in solo_stats)
+
+
+def test_dopri5_step_budget_is_per_sample(rng):
+    n = 3
+    mild = rng.uniform(0.1, 1.0, (n, 1))
+    z0 = np.ones((2, n, 1))
+    grid = TimeGrid([0.0, 2.0])
+    _, alone = dopri5_integrate_stats(decoupled_decay(mild), Tensor(z0[0]),
+                                      grid, SolverConfig())
+    # room for one mild sample's steps, not for the sum of two
+    cfg = SolverConfig(max_steps=alone.accepted + alone.rejected + 1)
+    dopri5_integrate(decoupled_decay(np.stack([mild, mild])), Tensor(z0),
+                     grid, cfg)
+    stiff = rng.uniform(200.0, 400.0, (n, 1))
+    with pytest.raises(NumericError, match="budget .* in sample 1"):
+        dopri5_integrate(decoupled_decay(np.stack([mild, stiff])), Tensor(z0),
+                         grid, cfg)
+
+
 def test_ode_solve_train_mode_is_differentiable(rng):
     a = rng.standard_normal((2, 2)) * 0.4
     w = Parameter(a, "w")

@@ -9,9 +9,9 @@ from aircast.autodiff import Parameter, Tensor, backward, clear_tape
 from aircast.data import chronological_split, make_windows
 from aircast.errors import ConfigurationError, ContractError, NumericError
 from aircast.model import Model, ModelConfig
-from aircast.training import (Adam, StopDecision, TrainConfig, clip_gradients,
-                              early_stopping, lr_schedule, mae_loss,
-                              train_loop)
+from aircast.training import (Adam, StopDecision, TrainConfig, _epoch_eval,
+                              clip_gradients, early_stopping, lr_schedule,
+                              mae_loss, train_loop)
 
 from conftest import synthetic_series, toy_graph
 
@@ -220,6 +220,17 @@ def test_train_loop_restores_best_epoch():
     for p in model.parameters():
         np.testing.assert_array_equal(p.data, ckpt.arrays[p.name])
     assert best_row["val_mae"] == best
+
+
+def test_epoch_eval_independent_of_batch_size():
+    # per-sample step control: a window's forecast does not depend on the
+    # windows it is batched with
+    split = tiny_split(steps=60)
+    model = tiny_model()
+    assert len(split.val) > 4
+    one = _epoch_eval(model, split.val, 1)
+    four = _epoch_eval(model, split.val, 4)
+    assert four == pytest.approx(one, rel=1e-12, abs=0)
 
 
 def test_train_loop_early_stop_on_frozen_model():
