@@ -24,8 +24,8 @@ import numpy as np
 from .autodiff import no_grad
 from .baselines import fit_var, ha_forecast, var_forecast
 from .data import (Dataset, chronological_split, impute_missing,
-                   load_dataset, make_windows, parse_readings, resample_3h,
-                   save_dataset, split_counts, _parse_timestamp)
+                   load_dataset, make_windows, parse_finite, parse_readings,
+                   resample_3h, save_dataset, split_counts, _parse_timestamp)
 from .errors import (AircastError, ConfigurationError, DataError, ParseError,
                      UnknownStationError)
 from .figures import render_diffusion_lines, render_wind_heatmap
@@ -128,10 +128,7 @@ def _read_field_csv(path, station_ids) -> np.ndarray:
                 raise UnknownStationError(f"{path}:{lineno}: unknown station {sid!r}")
             if sid in values:
                 raise ParseError(f"{path}:{lineno}: duplicate station {sid!r}")
-            try:
-                values[sid] = float(row[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad value {row[1]!r}") from None
+            values[sid] = parse_finite(row[1], path, lineno, "value")
     missing = [sid for sid in station_ids if sid not in values]
     if missing:
         raise DataError(f"{path}: missing stations {missing}")
@@ -156,10 +153,8 @@ def _read_wind_csv(path, station_ids) -> np.ndarray:
                 raise UnknownStationError(f"{path}:{lineno}: unknown station {sid!r}")
             if sid in values:
                 raise ParseError(f"{path}:{lineno}: duplicate station {sid!r}")
-            try:
-                values[sid] = (float(row[1]), float(row[2]))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad wind row") from None
+            values[sid] = (parse_finite(row[1], path, lineno, "u"),
+                           parse_finite(row[2], path, lineno, "v"))
     missing = [sid for sid in station_ids if sid not in values]
     if missing:
         raise DataError(f"{path}: missing stations {missing}")
@@ -180,6 +175,7 @@ def _read_forecast_csv(path) -> dict:
                 or [h.strip() for h in header[:2]] != ["timestamp", "station_id"]):
             raise ParseError(
                 f"{path}: expected header timestamp,station_id,<value>")
+        column = header[2].strip()
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -191,10 +187,7 @@ def _read_forecast_csv(path) -> dict:
             key = (ts, sid)
             if key in out:
                 raise ParseError(f"{where}: duplicate point {sid} at {row[0]}")
-            try:
-                out[key] = float(row[2])
-            except ValueError:
-                raise ParseError(f"{where}: bad value {row[2]!r}") from None
+            out[key] = parse_finite(row[2], path, lineno, column)
     if not out:
         raise DataError(f"{path}: no rows")
     return out

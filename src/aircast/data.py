@@ -11,11 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import zipfile
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConfigurationError, DataError, FormatError, ParseError,
                      UnknownStationError)
@@ -26,17 +28,8 @@ log = logging.getLogger(__name__)
 EPOCH = datetime(1970, 1, 1)
 READINGS_HEADER = ["timestamp", "station_id", "pm25", "wind_speed", "wind_direction"]
 CHANNELS = ("pm25", "wind_speed", "wind_direction")
-
-
-@dataclass(frozen=True)
-class RawReading:
-    """One parsed CSV row; None marks a missing measurement."""
-
-    timestamp: datetime
-    station_id: str
-    pm25: float | None
-    wind_speed: float | None
-    wind_direction: float | None
+HOUR = timedelta(hours=1)
+IMPUTE_WINDOW = 24   # hours of history a missing reading is averaged over
 
 
 @dataclass
@@ -127,16 +120,23 @@ def _parse_timestamp(text: str, where: str) -> datetime:
     return ts
 
 
-def _parse_value(text: str, where: str, column: str) -> float | None:
-    text = text.strip()
-    if text == "":
-        return None
+def parse_finite(text: str, path, lineno: int, column: str,
+                 gap: bool = False) -> float:
+    """One CSV field as a finite float.
+
+    Non-numeric text, nan, inf and overflowing literals such as 1e400 are a
+    ParseError naming the file, line and column. With ``gap``, a blank or
+    whitespace-only field is a missing value and comes back as NaN.
+    """
     try:
         value = float(text)
     except ValueError:
-        raise ParseError(f"{where}: non-numeric {column} {text!r}") from None
-    if not np.isfinite(value):
-        raise ParseError(f"{where}: non-finite {column}")
+        if gap and not text.strip():
+            return math.nan
+        raise ParseError(f"{path}:{lineno}: non-numeric {column} "
+                         f"{text.strip()!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"{path}:{lineno}: non-finite {column}")
     return value
 
 
@@ -149,8 +149,10 @@ def parse_readings(path, station_ids) -> HourlySeries:
     """
     station_ids = list(station_ids)
     index = {sid: i for i, sid in enumerate(station_ids)}
-    readings: list[tuple[int, RawReading]] = []
-    seen: dict[tuple, int] = {}
+    n = len(station_ids)
+    hour_of: dict[str, int] = {}   # timestamp text -> hours since EPOCH
+    seen: dict[int, int] = {}      # hour * n + column -> line number
+    pm25, wind_speed, wind_direction = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -159,67 +161,75 @@ def parse_readings(path, station_ids) -> HourlySeries:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            where = f"{path}:{lineno}"
             if len(row) != 5:
-                raise ParseError(f"{where}: expected 5 fields, got {len(row)}")
+                raise ParseError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
             sid = row[1].strip()
-            if sid not in index:
-                raise UnknownStationError(f"{where}: unknown station {sid!r}")
-            reading = RawReading(
-                timestamp=_parse_timestamp(row[0].strip(), where),
-                station_id=sid,
-                pm25=_parse_value(row[2], where, "pm25"),
-                wind_speed=_parse_value(row[3], where, "wind_speed"),
-                wind_direction=_parse_value(row[4], where, "wind_direction"),
-            )
-            key = (reading.timestamp, sid)
-            if key in seen:
+            col = index.get(sid)
+            if col is None:
+                raise UnknownStationError(
+                    f"{path}:{lineno}: unknown station {sid!r}")
+            hour = hour_of.get(row[0])
+            if hour is None:
+                ts = _parse_timestamp(row[0].strip(), f"{path}:{lineno}")
+                hour = hour_of[row[0]] = (ts - EPOCH) // HOUR
+            pm25.append(parse_finite(row[2], path, lineno, "pm25", gap=True))
+            wind_speed.append(
+                parse_finite(row[3], path, lineno, "wind_speed", gap=True))
+            wind_direction.append(
+                parse_finite(row[4], path, lineno, "wind_direction", gap=True))
+            key = hour * n + col
+            first = seen.setdefault(key, lineno)
+            if first != lineno:
                 raise ParseError(
-                    f"{where}: duplicate reading for {sid} at "
-                    f"{reading.timestamp} (first seen on line {seen[key]})")
-            seen[key] = lineno
-            readings.append((lineno, reading))
-    if not readings:
+                    f"{path}:{lineno}: duplicate reading for {sid} at "
+                    f"{EPOCH + hour * HOUR} (first seen on line {first})")
+    if not seen:
         raise DataError(f"{path}: no readings")
-    start = min(r.timestamp for _, r in readings)
-    end = max(r.timestamp for _, r in readings)
-    hours = int((end - start).total_seconds() // 3600) + 1
-    n = len(station_ids)
-    grids = {ch: np.full((hours, n), np.nan) for ch in CHANNELS}
-    for _, r in readings:
-        row_i = int((r.timestamp - start).total_seconds() // 3600)
-        col = index[r.station_id]
-        for ch in CHANNELS:
-            value = getattr(r, ch)
-            if value is not None:
-                grids[ch][row_i, col] = value
-    return HourlySeries(start=start, station_ids=station_ids,
+    keys = np.fromiter(seen, dtype=np.int64, count=len(seen))
+    first_hour = int(keys.min()) // n
+    hours = int(keys.max()) // n - first_hour + 1
+    flat = keys - first_hour * n    # row-major index into the (hours, n) grid
+    grids = {}
+    for ch, values in zip(CHANNELS, (pm25, wind_speed, wind_direction)):
+        grid = np.full((hours, n), np.nan)
+        grid.flat[flat] = values
+        grids[ch] = grid
+    log.info("parsed %d readings onto %d hours x %d stations",
+             len(seen), hours, n)
+    return HourlySeries(start=EPOCH + first_hour * HOUR,
+                        station_ids=station_ids,
                         pm25=grids["pm25"], wind_speed=grids["wind_speed"],
                         wind_direction=grids["wind_direction"])
 
 
-def _impute_column(values: np.ndarray, global_mean: float) -> np.ndarray:
-    """Fill one station's hourly channel.
+def _impute_grid(grid: np.ndarray, observed: np.ndarray,
+                 global_mean: float) -> np.ndarray:
+    """Fill every station column of one hourly channel.
 
-    Missing entries take the mean of observed values in the preceding 24
-    hours; if that window holds nothing, the last observed value; leading
-    gaps (nothing observed yet) take the dataset-wide mean of the channel.
+    A missing entry takes the mean of the station's observed values in the
+    preceding 24 hours; if that window holds nothing, the last observed
+    value; leading gaps (nothing observed yet) take the dataset-wide mean of
+    the channel.
     """
-    observed = np.isfinite(values)
-    out = values.copy()
-    last_seen = np.nan
-    for t in range(values.size):
-        if observed[t]:
-            last_seen = values[t]
-            continue
-        lo = max(0, t - 24)
-        window = values[lo:t][observed[lo:t]]
-        if window.size:
-            out[t] = window.mean()
-        elif np.isfinite(last_seen):
-            out[t] = last_seen
-        else:
-            out[t] = global_mean
+    t, c = np.nonzero(~observed)
+    # IMPUTE_WINDOW rows on top: padded rows t..t+23 are the hours t-24..t-1
+    pad = ((IMPUTE_WINDOW, 0), (0, 0))
+    values = sliding_window_view(np.pad(grid, pad), IMPUTE_WINDOW, axis=0)[t, c]
+    seen = sliding_window_view(np.pad(observed, pad), IMPUTE_WINDOW, axis=0)[t, c]
+    # observed values first, in hour order: a row's window is its first m
+    order = np.argsort(~seen, axis=1, kind="stable")
+    values = np.take_along_axis(values, order, axis=1)
+    count = seen.sum(axis=1)
+    hour = np.arange(grid.shape[0])[:, None]
+    last = np.maximum.accumulate(np.where(observed, hour, -1), axis=0)[t, c]
+    filled = np.where(last >= 0, grid[np.maximum(last, 0), c], global_mean)
+    for m in np.unique(count[count > 0]):
+        rows = count == m
+        # a mean over exactly m contiguous values per row is the reduction
+        # numpy runs on that window alone, so the bits match it
+        filled[rows] = values[rows, :m].mean(axis=1)
+    out = grid.copy()
+    out[t, c] = filled
     return out
 
 
@@ -228,17 +238,17 @@ def impute_missing(series: HourlySeries) -> HourlySeries:
     filled = {}
     for ch in CHANNELS:
         grid = getattr(series, ch)
-        if not np.isfinite(grid).any():
+        observed = np.isfinite(grid)
+        if not observed.any():
             raise DataError(f"channel {ch} has no observed values")
-        global_mean = float(np.nanmean(grid))
-        cols = []
-        for col in range(grid.shape[1]):
-            if not np.isfinite(grid[:, col]).any():
-                raise DataError(
-                    f"station {series.station_ids[col]!r} has no observed "
-                    f"{ch} values")
-            cols.append(_impute_column(grid[:, col], global_mean))
-        filled[ch] = np.column_stack(cols)
+        empty = ~observed.any(axis=0)
+        if empty.any():
+            raise DataError(
+                f"station {series.station_ids[int(np.argmax(empty))]!r} has "
+                f"no observed {ch} values")
+        filled[ch] = _impute_grid(grid, observed, float(np.nanmean(grid)))
+        log.info("imputed %d of %d hourly %s cells",
+                 grid.size - np.count_nonzero(observed), grid.size, ch)
     return HourlySeries(start=series.start, station_ids=list(series.station_ids),
                         pm25=filled["pm25"], wind_speed=filled["wind_speed"],
                         wind_direction=filled["wind_direction"])
@@ -277,7 +287,10 @@ def resample_3h(series: HourlySeries) -> Series3h:
 
 def make_windows(series: Series3h, history_steps: int = 24,
                  horizon_steps: int = 24, stride: int = 1) -> list[WindowSample]:
-    """Slide (history + horizon)-step windows over the 3-hour series."""
+    """Slide (history + horizon)-step windows over the 3-hour series.
+
+    Window arrays are read-only views of the series, not copies.
+    """
     if history_steps < 1 or horizon_steps < 1 or stride < 1:
         raise ConfigurationError("window sizes and stride must be positive")
     total = history_steps + horizon_steps
@@ -288,11 +301,12 @@ def make_windows(series: Series3h, history_steps: int = 24,
     windows = []
     wind = np.stack([series.wind_u, series.wind_v], axis=-1)  # (steps, n, 2)
     x = series.pm25[..., None]                                # (steps, n, 1)
+    wind.flags.writeable = x.flags.writeable = False
     for s in range(0, series.steps - total + 1, stride):
         windows.append(WindowSample(
-            x_hist=x[s:s + history_steps].copy(),
-            p_hist=wind[s:s + history_steps].copy(),
-            x_future=x[s + history_steps:s + total].copy(),
+            x_hist=x[s:s + history_steps],
+            p_hist=wind[s:s + history_steps],
+            x_future=x[s + history_steps:s + total],
             start_time=series.time_at(s),
             start_index=s,
         ))

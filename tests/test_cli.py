@@ -111,6 +111,28 @@ def test_ingest_output(pipeline):
     assert ds.max_distance_km is None
 
 
+def test_ingest_logs_what_it_did(tmp_path, capsys, caplog):
+    stations = write_stations(tmp_path / "stations.csv")
+    readings = tmp_path / "readings.csv"
+    lines = write_readings(readings, hours=6).read_text().splitlines()
+    # one blank pm25 and one dropped row: two pm25 cells, one wind cell each
+    fields = lines[1].split(",")
+    fields[2] = ""
+    lines[1] = ",".join(fields)
+    readings.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+    out = tmp_path / "d.npz"
+    with caplog.at_level("INFO", logger="aircast.data"):
+        assert cli_dispatch(["ingest", "--stations", str(stations),
+                             "--readings", str(readings), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}: 2 three-hour steps, 4 stations\n"
+    assert caplog.messages == [
+        "parsed 23 readings onto 6 hours x 4 stations",
+        "imputed 2 of 24 hourly pm25 cells",
+        "imputed 1 of 24 hourly wind_speed cells",
+        "imputed 1 of 24 hourly wind_direction cells",
+    ]
+
+
 def test_train_artifacts(pipeline):
     header, rows = read_csv_rows(pipeline["log"])
     assert header == ["epoch", "lr", "train_mae", "val_mae"]
@@ -305,6 +327,44 @@ def test_evaluate_disjoint_files_exit_2(tmp_path, capsys):
                  "2017-02-01T00:00:00,y,1.0\n", encoding="utf-8")
     assert cli_dispatch(["evaluate", "--pred", str(a), "--truth", str(b)]) == 2
     assert "share no" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_non_finite_value(tmp_path, capsys):
+    pred = tmp_path / "p.csv"
+    pred.write_text("timestamp,station_id,pm25_pred\n"
+                    "2017-01-01T00:00:00,a,1.0\n"
+                    "2017-01-01T03:00:00,a,nan\n", encoding="utf-8")
+    assert cli_dispatch(["evaluate", "--pred", str(pred), "--truth",
+                         str(pred)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{pred}:3: non-finite pm25_pred" in captured.err
+
+
+def test_simulate_rejects_non_finite_field(tmp_path, capsys):
+    stations = write_stations(tmp_path / "stations.csv")
+    x0 = tmp_path / "x0.csv"
+    x0.write_text("station_id,value\ns0,100\ns1,0\ns2,inf\ns3,0\n",
+                  encoding="utf-8")
+    assert cli_dispatch(["simulate", "--mode", "diffusion", "--graph",
+                         str(stations), "--x0", str(x0), "--t", "1.0",
+                         "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"{x0}:4: non-finite value" in capsys.readouterr().err
+
+
+def test_plot_rejects_non_finite_wind(tmp_path, capsys):
+    stations = write_stations(tmp_path / "stations.csv")
+    field = tmp_path / "field.csv"
+    field.write_text("station_id,value\ns0,80\ns1,45\ns2,60\ns3,110\n",
+                     encoding="utf-8")
+    wind = tmp_path / "wind.csv"
+    wind.write_text("station_id,u,v\ns0,1,0\ns1,0,1e400\ns2,1,1\ns3,0,0\n",
+                    encoding="utf-8")
+    assert cli_dispatch(["plot", "--type", "wind-heatmap", "--stations",
+                         str(stations), "--field", str(field), "--wind",
+                         str(wind), "--out", str(tmp_path / "x.svg")]) == 2
+    assert f"{wind}:3: non-finite v" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
 
 
 def write_eval_pair(tmp_path):

@@ -93,6 +93,72 @@ def test_parse_readings_duplicate_names_both_lines(tmp_path):
         parse_readings(path, ["a"])
 
 
+def test_parse_readings_duplicate_across_timestamp_spellings(tmp_path):
+    # one instant written two ways: the timestamp cache is keyed by text,
+    # the duplicate check by the instant
+    path = write_readings(tmp_path, [
+        "2017-01-01T08:00:00+08:00,a,1,2,3",
+        "2017-01-01T00:00:00Z,a,9,9,9",
+    ])
+    with pytest.raises(ParseError,
+                       match=r":3: duplicate reading for a at "
+                             r"2017-01-01 00:00:00 \(first seen on line 2\)"):
+        parse_readings(path, ["a"])
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e400"])
+@pytest.mark.parametrize("field", [2, 3, 4])
+def test_parse_readings_rejects_non_finite_values(tmp_path, field, text):
+    bad = ["2017-01-01T01:00:00", "a", "1", "2", "3"]
+    bad[field] = text
+    path = write_readings(tmp_path, ["2017-01-01T00:00:00,a,1,2,3",
+                                     ",".join(bad)])
+    column = HEADER.split(",")[field]
+    with pytest.raises(ParseError, match=rf"readings.csv:3: non-finite {column}$"):
+        parse_readings(path, ["a"])
+
+
+def test_parse_readings_whitespace_value_is_gap(tmp_path):
+    path = write_readings(tmp_path, ["2017-01-01T00:00:00,a,  ,2,\t"])
+    series = parse_readings(path, ["a"])
+    assert np.isnan(series.pm25[0, 0])
+    assert series.wind_speed[0, 0] == 2.0
+    assert np.isnan(series.wind_direction[0, 0])
+
+
+def test_parse_readings_shuffled_gappy_csv_matches_direct_grid(tmp_path):
+    rng = np.random.default_rng(2024)
+    ids = [f"s{i}" for i in range(7)]
+    start, hours = datetime(2017, 3, 1, 5), 300
+    grids = {ch: np.full((hours, len(ids)), np.nan) for ch in
+             ("pm25", "wind_speed", "wind_direction")}
+    rows = []
+    for h in range(hours):
+        ts = start + timedelta(hours=h)
+        spellings = [ts.isoformat(), ts.isoformat() + "Z",
+                     (ts + timedelta(hours=8)).isoformat() + "+08:00"]
+        for col, sid in enumerate(ids):
+            if rng.uniform() < 0.05 and 0 < h < hours - 1:
+                continue  # dropped row
+            fields = []
+            for ch in grids:
+                if rng.uniform() < 0.04:
+                    fields.append(str(rng.choice(["", " ", "  "])))
+                else:
+                    value = float(rng.uniform(-50, 500))
+                    grids[ch][h, col] = value
+                    fields.append(repr(value))
+            rows.append(",".join([spellings[rng.integers(3)], sid] + fields))
+    rng.shuffle(rows)
+    series = parse_readings(write_readings(tmp_path, rows), ids)
+    assert series.start == start
+    assert series.station_ids == ids
+    for ch, grid in grids.items():
+        got = getattr(series, ch)
+        assert got.shape == grid.shape
+        assert got.tobytes() == grid.tobytes()
+
+
 def hourly(pm, speed=None, direction=None, ids=None):
     pm = np.asarray(pm, dtype=np.float64)
     if pm.ndim == 1:
@@ -178,6 +244,30 @@ def test_impute_matches_brute_force_oracle(rng):
     np.testing.assert_allclose(got, impute_oracle(pm), atol=1e-12)
 
 
+def test_impute_matches_oracle_at_realistic_scale():
+    rng = np.random.default_rng(77)
+    hours, n = 2200, 12
+    grids = [rng.uniform(1, 400, size=(hours, n)) for _ in range(3)]
+    gappy = []
+    for grid in grids:
+        missing = rng.uniform(size=grid.shape) < 0.04      # scattered blanks
+        for col in range(n):
+            missing[:rng.integers(0, 40), col] = True       # leading gaps
+            for _ in range(rng.integers(0, 3)):             # outages of 1-4 days
+                start = rng.integers(0, hours - 100)
+                missing[start:start + rng.integers(25, 97), col] = True
+        missing[hours // 2] = False
+        g = grid.copy()
+        g[missing] = np.nan
+        gappy.append(g)
+    filled = impute_missing(hourly(*gappy))
+    for grid, got in zip(gappy, (filled.pm25, filled.wind_speed,
+                                 filled.wind_direction)):
+        observed = np.isfinite(grid)
+        assert got[observed].tobytes() == grid[observed].tobytes()
+        np.testing.assert_allclose(got, impute_oracle(grid), rtol=0, atol=1e-12)
+
+
 def test_impute_rejects_fully_missing_station():
     pm = np.column_stack([np.full(10, np.nan), np.full(10, 20.0)])
     with pytest.raises(DataError, match="'s0'"):
@@ -230,6 +320,22 @@ def test_make_windows_alignment():
     np.testing.assert_array_equal(w.p_hist[:, :, 1], series.wind_v[2:6])
     assert w.start_index == 2
     assert w.start_time == series.time_at(2)
+
+
+def test_make_windows_returns_read_only_views():
+    series = synthetic_series(12, 2, seed=2)
+    wind = np.stack([series.wind_u, series.wind_v], axis=-1)
+    for w in make_windows(series, history_steps=4, horizon_steps=3):
+        s = w.start_index
+        np.testing.assert_array_equal(w.x_hist, series.pm25[s:s + 4, :, None])
+        np.testing.assert_array_equal(w.p_hist, wind[s:s + 4])
+        np.testing.assert_array_equal(w.x_future,
+                                      series.pm25[s + 4:s + 7, :, None])
+        for arr in (w.x_hist, w.p_hist, w.x_future):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0, 0] = 1.0
+    assert np.shares_memory(w.x_hist, series.pm25)
+    series.pm25[0, 0] = 1.0  # the caller's series stays writable
 
 
 def test_make_windows_stride_and_errors():
