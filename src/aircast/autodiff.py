@@ -2,13 +2,19 @@
 
 Values live in row-major numpy arrays. Every primitive checks its inputs,
 computes the forward value, and (when gradients are being tracked) appends a
-tape entry holding the output, the input tensors, and a closure that turns the
-output cotangent into input cotangents. backward() replays the tape once in
-reverse; the tape is rebuilt on every forward pass and confined to one thread.
+tape entry. An entry names its output and inputs by their integer keys and
+holds no tensor other than a leaf, so an intermediate is freed as soon as the
+forward drops it. Its closure, which turns the output cotangent into input
+cotangents, keeps only the arrays that formula reads: a matmul by a constant
+Laplacian keeps the Laplacian, not the activation. What stays alive until
+backward() is therefore what the VJPs read, and it grows with batch x horizon.
+backward() replays the tape once in reverse and frees each entry as it is
+used; the tape is rebuilt on every forward pass and confined to one thread.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Callable, Sequence
 
@@ -17,6 +23,8 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericError
 
 _state = threading.local()
+# Tensor keys: unlike id(), never reused once an intermediate is freed
+_keys = itertools.count()
 
 
 def _tape() -> list:
@@ -55,10 +63,10 @@ class Tensor:
 
     Leaf tensors created with requires_grad=True own a zero-initialized grad
     buffer; tensors produced by primitives keep requires_grad set but receive
-    gradients only transiently during backward().
+    gradients only transiently during backward(), routed by their key.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "key")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
@@ -67,6 +75,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(arr) if requires_grad else None
+        self.key = next(_keys)
 
     @property
     def shape(self) -> tuple:
@@ -127,10 +136,18 @@ def as_tensor(x) -> Tensor:
 
 
 def _result(values: np.ndarray, inputs: tuple, vjp: Callable) -> Tensor:
+    """Wrap values; when recording, append (out key, input slots, vjp).
+
+    An input slot is None when the input needs no gradient, else (key, leaf)
+    where leaf is the tensor itself if it owns a grad buffer and None if it
+    is an intermediate, which the entry must not keep alive.
+    """
     out = Tensor(values)
     if _grad_enabled() and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _tape().append((out, inputs, vjp))
+        slots = tuple((t.key, t if t.grad is not None else None)
+                      if t.requires_grad else None for t in inputs)
+        _tape().append((out.key, slots, vjp))
     return out
 
 
@@ -154,7 +171,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     like np.matmul; both operands must be at least 2-D.
 
     The VJP sums a broadcast operand's cotangent back to its shape and
-    skips operands that do not require gradients (constant Laplacians).
+    skips operands that do not require gradients (constant Laplacians). It
+    keeps b only for a's cotangent and a only for b's.
     """
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
@@ -165,12 +183,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise DimensionError(
             f"matmul: incompatible shapes {a.shape} @ {b.shape}") from None
+    if not _grad_enabled():  # nothing is recorded, so skip the VJP's captures
+        return Tensor(out)
+    ash, bsh = ad.shape, bd.shape
+    for_ga = bd if a.requires_grad else None
+    for_gb = ad if b.requires_grad else None
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) \
-            if a.requires_grad else None
-        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) \
-            if b.requires_grad else None
+        ga = None if for_ga is None else \
+            _unbroadcast(g @ np.swapaxes(for_ga, -1, -2), ash)
+        gb = None if for_gb is None else \
+            _unbroadcast(np.swapaxes(for_gb, -1, -2) @ g, bsh)
         return ga, gb
 
     return _result(out, (a, b), vjp)
@@ -211,10 +234,16 @@ def mul(a, b) -> Tensor:
         out = ad * bd
     except ValueError:
         raise _no_broadcast("mul", a, b) from None
+    if not _grad_enabled():
+        return Tensor(out)
     ash, bsh = a.shape, b.shape
+    for_ga = bd if a.requires_grad else None
+    for_gb = ad if b.requires_grad else None
 
     def vjp(g):
-        return _unbroadcast(g * bd, ash), _unbroadcast(g * ad, bsh)
+        ga = None if for_ga is None else _unbroadcast(g * for_ga, ash)
+        gb = None if for_gb is None else _unbroadcast(g * for_gb, bsh)
+        return ga, gb
 
     return _result(out, (a, b), vjp)
 
@@ -342,9 +371,10 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     for t in tensors[1:]:
         if t.shape != sh:
             raise DimensionError(f"stack: mixed shapes {sh} and {t.shape}")
+    count = len(tensors)
 
     def vjp(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
+        return tuple(np.take(g, i, axis=axis) for i in range(count))
 
     return _result(np.stack([t.data for t in tensors], axis=axis),
                    tuple(tensors), vjp)
@@ -386,36 +416,42 @@ def safe_inv_sqrt(a) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf's grad buffer.
 
-    The loss must be scalar. Entries are consumed in reverse recording order,
-    which is a valid topological order for a define-by-run tape; the tape is
-    cleared afterwards. A constant loss (nothing recorded against it) is a
-    no-op: all gradients are trivially zero.
+    The loss must be scalar. Entries are popped in reverse recording order,
+    which is a valid topological order for a define-by-run tape, so each
+    closure and the arrays it keeps are freed once it has run; the tape is
+    empty on return, also when a VJP raises. Cotangents of intermediates are
+    routed by tensor key; those of leaves go straight into their grad
+    buffers. A constant loss (nothing recorded against it) is a no-op: all
+    gradients are trivially zero.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor loss")
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
     tape = _tape()
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {loss.key: np.ones_like(loss.data)}
     if loss.grad is not None:
         loss.grad += 1.0
-    for out, inputs, vjp in reversed(tape):
-        g = grads.pop(id(out), None)
-        if g is None:
-            continue
-        cotangents = vjp(g)
-        for t, ct in zip(inputs, cotangents):
-            if not t.requires_grad or ct is None:
+    try:
+        while tape:
+            out_key, slots, vjp = tape.pop()
+            g = grads.pop(out_key, None)
+            if g is None:
                 continue
-            if t.grad is not None:
-                t.grad += ct
-            else:
-                prev = grads.get(id(t))
-                if prev is None:
-                    grads[id(t)] = np.array(ct, dtype=np.float64, copy=True)
+            for slot, ct in zip(slots, vjp(g)):
+                if slot is None or ct is None:
+                    continue
+                key, leaf = slot
+                if leaf is not None:
+                    leaf.grad += ct
                 else:
-                    prev += ct
-    tape.clear()
+                    prev = grads.get(key)
+                    if prev is None:
+                        grads[key] = np.array(ct, dtype=np.float64, copy=True)
+                    else:
+                        prev += ct
+    finally:
+        tape.clear()
 
 
 def finite_diff_check(f: Callable[[], Tensor],

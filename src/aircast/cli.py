@@ -380,14 +380,20 @@ def cmd_simulate(args) -> int:
 
 
 def _read_matrix_csv(path, n) -> np.ndarray:
-    """Headerless n-by-n numeric CSV."""
-    try:
-        m = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as e:
-        raise ParseError(f"{path}: {e}") from None
-    if m.shape != (n, n):
-        raise DataError(f"{path}: expected a {n}x{n} matrix, got {m.shape}")
-    return m
+    """Headerless n-by-n CSV of finite numbers; blank lines are skipped."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row:
+                continue
+            if len(row) != n:
+                raise ParseError(f"{path}:{lineno}: expected {n} fields, "
+                                 f"got {len(row)}")
+            rows.append([parse_finite(text, path, lineno, f"column {j}")
+                         for j, text in enumerate(row, start=1)])
+    if len(rows) != n:
+        raise DataError(f"{path}: expected a {n}x{n} matrix, got {len(rows)} rows")
+    return np.array(rows)
 
 
 def cmd_plot(args) -> int:

@@ -1,6 +1,8 @@
 """Autodiff engine: forward values against numpy, gradients against
 closed forms and central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,26 @@ def test_broadcast_mul_gradient_matches_loop_oracle(rng):
             gb[0, j] += g[i, j] * a.data[i, j]
     np.testing.assert_allclose(a.grad, ga, atol=1e-14)
     np.testing.assert_allclose(b.grad, gb, atol=1e-14)
+
+
+def test_mul_constant_operand_gets_no_cotangent(rng):
+    a = Parameter(rng.standard_normal((2, 3)), "a")
+    b = Parameter(rng.standard_normal((1, 3)), "b")
+    g = rng.standard_normal((2, 3))
+    for const_a in (True, False):
+        lhs = Tensor(a.data) if const_a else a
+        rhs = b if const_a else Tensor(b.data)
+        clear_tape()
+        ad.mul(lhs, rhs)
+        (_, _, vjp), = ad._tape()
+        ga, gb = vjp(g)
+        assert (ga is None) == const_a and (gb is None) == (not const_a)
+        if const_a:
+            np.testing.assert_array_equal(gb, (g * a.data).sum(axis=0,
+                                                              keepdims=True))
+        else:
+            np.testing.assert_array_equal(ga, g * b.data)
+    clear_tape()
 
 
 def test_incompatible_broadcast_rejected():
@@ -300,3 +322,51 @@ def test_finite_diff_check_rejects_bad_eps():
     x = Parameter(np.ones(1), "x")
     with pytest.raises(ContractError):
         finite_diff_check(lambda: ad.reduce_sum(x), [x], eps=0.0)
+
+
+def test_tape_retains_only_what_vjps_read(rng):
+    # tanh's VJP reads its output; add's reads nothing; a matmul by a
+    # constant reads only the constant. So after the forward the tape holds
+    # the 50 tanh outputs, not the 50 sums or the 20 matmul products.
+    x = Parameter(rng.standard_normal((250, 500)), "x")  # 1 MB
+    const = Tensor(rng.standard_normal((500, 500)) / np.sqrt(500.0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = x
+        for _ in range(50):
+            y = ad.tanh(y + 1.0)
+        z = y
+        for _ in range(20):
+            z = ad.matmul(z, const)
+        loss = ad.reduce_sum(z)
+        del y, z
+        held = tracemalloc.get_traced_memory()[0] - before
+        backward(loss)
+        after = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert tape_size() == 0
+    assert held < 50 * x.data.nbytes + 2 * x.data.nbytes
+    assert after < x.data.nbytes // 10
+    assert np.isfinite(x.grad).all() and np.abs(x.grad).sum() > 0
+
+
+def test_gradients_exact_when_intermediate_ids_are_reused(rng):
+    # every intermediate is dropped as soon as the next op has read it, so
+    # CPython hands its id() to a later tensor; gradients must still reach
+    # the right inputs
+    x = Parameter(rng.standard_normal((3, 4)) * 0.5, "x")
+    w = Parameter(rng.standard_normal((4, 4)) * 0.5, "w")
+    ids = []
+
+    def f():
+        y = x
+        for _ in range(12):
+            y = ad.tanh(ad.add(ad.matmul(y, w), ad.mul(y, 0.5)))
+            if ad._grad_enabled():
+                ids.append(id(y))
+        return ad.reduce_sum(ad.mul(y, y))
+
+    assert finite_diff_check(f, [x, w]) < 1e-6
+    assert len(set(ids)) < len(ids)

@@ -352,6 +352,34 @@ def test_simulate_rejects_non_finite_field(tmp_path, capsys):
     assert f"{x0}:4: non-finite value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_simulate_rejects_non_finite_velocity(tmp_path, capsys, bad):
+    stations = write_stations(tmp_path / "stations.csv", n=3)
+    x0 = tmp_path / "x0.csv"
+    x0.write_text("station_id,value\ns0,10\ns1,20\ns2,30\n", encoding="utf-8")
+    vel = tmp_path / "vel.csv"
+    vel.write_text(f"0,0.5,0\n0,0,{bad}\n0,0,0\n", encoding="utf-8")
+    assert cli_dispatch(["simulate", "--mode", "advection", "--graph",
+                         str(stations), "--x0", str(x0), "--t", "1.0",
+                         "--velocities", str(vel),
+                         "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"{vel}:2: non-finite column 3" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_simulate_rejects_ragged_velocity_rows(tmp_path, capsys):
+    stations = write_stations(tmp_path / "stations.csv", n=3)
+    x0 = tmp_path / "x0.csv"
+    x0.write_text("station_id,value\ns0,10\ns1,20\ns2,30\n", encoding="utf-8")
+    vel = tmp_path / "vel.csv"
+    vel.write_text("0,0.5,0\n\n0,0\n0,0,0\n", encoding="utf-8")
+    assert cli_dispatch(["simulate", "--mode", "advection", "--graph",
+                         str(stations), "--x0", str(x0), "--t", "1.0",
+                         "--velocities", str(vel),
+                         "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"{vel}:3: expected 3 fields, got 2" in capsys.readouterr().err
+
+
 def test_plot_rejects_non_finite_wind(tmp_path, capsys):
     stations = write_stations(tmp_path / "stations.csv")
     field = tmp_path / "field.csv"
