@@ -111,14 +111,6 @@ def fit_var(series: np.ndarray, lags: int = 3,
     return VarModel(intercept=intercept, coeffs=coeffs, ridge_used=ridge_used)
 
 
-def var_fit_forecast(series: np.ndarray, lags: int = 3,
-                     horizon: int = 24) -> np.ndarray:
-    """Fit on the whole series, then forecast ``horizon`` steps past its end."""
-    series = np.asarray(series, dtype=np.float64)
-    model = fit_var(series, lags=lags)
-    return var_forecast(model, series[-lags:], horizon)
-
-
 def var_forecast(model: VarModel, recent: np.ndarray, horizon: int) -> np.ndarray:
     """Recursive multi-step forecast; predictions feed back as inputs."""
     if horizon < 1:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import os
 import sys
-from collections import defaultdict
 from dataclasses import fields as dc_fields, replace
 from datetime import timedelta
 from pathlib import Path
@@ -30,7 +30,8 @@ from .errors import (AircastError, ConfigurationError, DataError, ParseError,
                      UnknownStationError)
 from .figures import render_diffusion_lines, render_wind_heatmap
 from .graph import SensorGraph, load_stations
-from .metrics import HORIZON_STEPS, SuddenChangeSpec, mae, rmse
+from .metrics import (HORIZON_STEPS, SuddenChangeSpec, mae, masked_metrics,
+                      rmse, sudden_change_mask)
 from .model import (Model, ModelConfig, load_checkpoint, model_from_checkpoint,
                     save_checkpoint)
 from .odeint import SolverConfig
@@ -64,12 +65,12 @@ def _section_kwargs(cp: configparser.ConfigParser, name: str, cls) -> dict:
             raise ConfigurationError(f"unknown key {key!r} in [{name}]")
         default = defaults[key]
         try:
-            if isinstance(default, bool):
-                out[key] = raw.strip().lower() in ("1", "true", "yes", "on")
-            elif isinstance(default, int):
+            if isinstance(default, int):
                 out[key] = int(raw)
             elif isinstance(default, float):
                 out[key] = float(raw)
+                if not math.isfinite(out[key]):
+                    raise ValueError(raw)
             elif isinstance(default, tuple):
                 parts = raw.replace(",", " ").split()
                 out[key] = tuple(int(p) for p in parts)
@@ -110,51 +111,28 @@ def load_config(path=None) -> tuple[ModelConfig, TrainConfig, SolverConfig]:
             SolverConfig(**kwargs["solver"]))
 
 
-def _read_field_csv(path, station_ids) -> np.ndarray:
-    """CSV with header station_id,value covering every station exactly once."""
+def _read_station_csv(path, station_ids, columns) -> np.ndarray:
+    """(n, len(columns)) values from a CSV with header station_id,<columns>
+    that covers every station exactly once."""
+    header_want = ["station_id", *columns]
     values = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["station_id", "value"]:
-            raise ParseError(f"{path}: expected header station_id,value")
+        if header is None or [h.strip() for h in header] != header_want:
+            raise ParseError(f"{path}: expected header {','.join(header_want)}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 fields")
+            if len(row) != len(header_want):
+                raise ParseError(f"{path}:{lineno}: expected {len(header_want)} fields")
             sid = row[0].strip()
             if sid not in station_ids:
                 raise UnknownStationError(f"{path}:{lineno}: unknown station {sid!r}")
             if sid in values:
                 raise ParseError(f"{path}:{lineno}: duplicate station {sid!r}")
-            values[sid] = parse_finite(row[1], path, lineno, "value")
-    missing = [sid for sid in station_ids if sid not in values]
-    if missing:
-        raise DataError(f"{path}: missing stations {missing}")
-    return np.array([values[sid] for sid in station_ids])
-
-
-def _read_wind_csv(path, station_ids) -> np.ndarray:
-    """CSV with header station_id,u,v covering every station exactly once."""
-    values = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["station_id", "u", "v"]:
-            raise ParseError(f"{path}: expected header station_id,u,v")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields")
-            sid = row[0].strip()
-            if sid not in station_ids:
-                raise UnknownStationError(f"{path}:{lineno}: unknown station {sid!r}")
-            if sid in values:
-                raise ParseError(f"{path}:{lineno}: duplicate station {sid!r}")
-            values[sid] = (parse_finite(row[1], path, lineno, "u"),
-                           parse_finite(row[2], path, lineno, "v"))
+            values[sid] = [parse_finite(text, path, lineno, column)
+                           for text, column in zip(row[1:], columns)]
     missing = [sid for sid in station_ids if sid not in values]
     if missing:
         raise DataError(f"{path}: missing stations {missing}")
@@ -339,23 +317,13 @@ def cmd_evaluate(args) -> int:
     print(f"mae={mae(p, t)!r} rmse={rmse(p, t)!r} points={len(keys)}")
     if args.sudden_change:
         spec = SuddenChangeSpec.for_city(args.city)
-        by_station = defaultdict(list)
-        for (ts, sid), v in truth.items():
-            by_station[sid].append((ts, v))
-        flagged = set()
-        for sid, seq in by_station.items():
-            seq.sort()
-            for (ts, v), (ts2, v2) in zip(seq, seq[1:]):
-                if (ts2 - ts == timedelta(hours=3) and v > spec.level
-                        and abs(v2 - v) > spec.delta):
-                    flagged.add((ts, sid))
-        selected = [k for k in keys if k in flagged]
-        if not selected:
-            raise DataError("no sudden-change points in the evaluated set")
-        ps = np.array([pred[k] for k in selected])
-        ts_ = np.array([truth[k] for k in selected])
-        print(f"sudden_change mae={mae(ps, ts_)!r} rmse={rmse(ps, ts_)!r} "
-              f"points={len(selected)}")
+        # the truth three hours later; NaN where there is none never flags
+        later = np.array([truth.get((ts + timedelta(hours=3), sid), np.nan)
+                          for ts, sid in keys])
+        mask = sudden_change_mask(np.stack([t, later]), spec)[0]
+        report = masked_metrics(p, t, mask)
+        print(f"sudden_change mae={report.mae!r} rmse={report.rmse!r} "
+              f"points={report.n_points}")
     return 0
 
 
@@ -363,7 +331,7 @@ def cmd_simulate(args) -> int:
     stations = load_stations(args.graph)
     graph = SensorGraph.from_stations(stations)
     ids = [s.station_id for s in stations]
-    x0 = _read_field_csv(args.x0, ids)
+    x0 = _read_station_csv(args.x0, ids, ["value"])[:, 0]
     if args.mode == "diffusion":
         final = simulate_diffusion_reference(graph.weights, x0, args.k, args.t)
     else:
@@ -399,11 +367,11 @@ def _read_matrix_csv(path, n) -> np.ndarray:
 def cmd_plot(args) -> int:
     stations = load_stations(args.stations)
     ids = [s.station_id for s in stations]
-    field = _read_field_csv(args.field, ids)
+    field = _read_station_csv(args.field, ids, ["value"])[:, 0]
     if args.type == "wind-heatmap":
         if not args.wind:
             raise ConfigurationError("wind-heatmap needs --wind")
-        wind = _read_wind_csv(args.wind, ids)
+        wind = _read_station_csv(args.wind, ids, ["u", "v"])
         render_wind_heatmap(stations, field, wind, args.out)
     else:
         if not args.source:

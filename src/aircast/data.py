@@ -392,20 +392,55 @@ def save_dataset(dataset: Dataset, path) -> None:
                  pm25=series.pm25, wind_u=series.wind_u, wind_v=series.wind_v)
 
 
+NUMBER = (int, float)
+
+
+def has_type(value, kind) -> bool:
+    """Whether a JSON value has ``kind``: a type (a bool is no number), a
+    tuple of kinds (any of them) or [kind] (a list of that kind)."""
+    if isinstance(kind, tuple):
+        return any(has_type(value, k) for k in kind)
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(has_type(v, kind[0]) for v in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def read_meta(archive, path, fmt: str, schema: dict) -> dict:
+    """JSON metadata of an open .npz container in format ``fmt``.
+
+    Every field in ``schema`` must have its kind (see ``has_type``); a
+    missing field reads as None. Anything else is a FormatError naming the
+    file.
+    """
+    if "_meta" not in archive:
+        raise FormatError(f"{path}: missing metadata entry")
+    try:
+        meta = json.loads(str(archive["_meta"]))
+    except json.JSONDecodeError:
+        raise FormatError(f"{path}: corrupt metadata") from None
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: metadata is not a JSON object")
+    if meta.get("format") != fmt:
+        raise FormatError(f"{path}: unsupported format {meta.get('format')!r}")
+    for key, kind in schema.items():
+        if not has_type(meta.get(key), kind):
+            found = f"{meta[key]!r}" if key in meta else "missing"
+            raise FormatError(f"{path}: bad metadata field {key!r}: {found}")
+    return meta
+
+
+_DATASET_SCHEMA = {"start_epoch": int, "station_ids": [str],
+                   "latitudes": [NUMBER], "longitudes": [NUMBER],
+                   "max_distance_km": NUMBER + (type(None),)}
+
+
 def load_dataset(path) -> Dataset:
     try:
         archive = np.load(path, allow_pickle=False)
     except (zipfile.BadZipFile, OSError, ValueError) as e:
         raise FormatError(f"{path}: not a readable container ({e})") from None
     with archive:
-        if "_meta" not in archive:
-            raise FormatError(f"{path}: missing metadata entry")
-        try:
-            meta = json.loads(str(archive["_meta"]))
-        except json.JSONDecodeError:
-            raise FormatError(f"{path}: corrupt metadata") from None
-        if meta.get("format") != DATASET_FORMAT:
-            raise FormatError(f"{path}: unsupported format {meta.get('format')!r}")
+        meta = read_meta(archive, path, DATASET_FORMAT, _DATASET_SCHEMA)
         try:
             pm25 = archive["pm25"]
             wind_u = archive["wind_u"]

@@ -1,9 +1,6 @@
 """Forecast accuracy metrics and sudden-change event masks.
 
 Predictions and ground truth are aligned arrays in measurement units.
-Horizon-prefix reports always place the shortest horizons first so a
-24h report is computed from the first eight 3-hour steps, a 48h report
-from the first sixteen, and a 72h report from all twenty-four.
 """
 
 from __future__ import annotations
@@ -59,42 +56,6 @@ class MetricsReport:
                 f"metric ordering violated: mae={self.mae} rmse={self.rmse}")
 
 
-STEP_LABELS = {steps: label for label, steps in HORIZON_STEPS.items()}
-
-
-def compute_metrics(pred: np.ndarray, truth: np.ndarray,
-                    horizon_steps: int) -> MetricsReport:
-    """Report over the first ``horizon_steps`` of (steps, ...) trajectories.
-
-    Lead-time reports are cumulative prefixes of the step axis, so the
-    8-step report covers the first day of 3-hour blocks, 16 the first
-    two, 24 all three.
-    """
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape:
-        raise DimensionError(f"shape mismatch {pred.shape} vs {truth.shape}")
-    if pred.ndim < 1:
-        raise DimensionError("need a step axis")
-    if horizon_steps <= 0:
-        raise ContractError("horizon must cover at least one step")
-    if horizon_steps > pred.shape[0]:
-        raise DataError(
-            f"horizon of {horizon_steps} steps exceeds the {pred.shape[0]}-step "
-            f"trajectory")
-    label = STEP_LABELS.get(horizon_steps, f"{3 * horizon_steps}h")
-    p, t = pred[:horizon_steps], truth[:horizon_steps]
-    return MetricsReport(label=label, mae=mae(p, t), rmse=rmse(p, t),
-                         n_points=int(p.size))
-
-
-def horizon_reports(pred: np.ndarray, truth: np.ndarray) -> list[MetricsReport]:
-    """One report per standard lead time that fits the trajectory."""
-    pred = np.asarray(pred, dtype=np.float64)
-    return [compute_metrics(pred, truth, steps)
-            for steps in sorted(STEP_LABELS) if steps <= pred.shape[0]]
-
-
 CITY_LEVELS = {"beijing": 50.0, "shenzhen": 20.0}
 
 
@@ -143,7 +104,7 @@ def masked_metrics(pred: np.ndarray, truth: np.ndarray,
     if not (pred.shape == truth.shape == mask.shape):
         raise DimensionError("prediction, truth, and mask shapes must match")
     if not mask.any():
-        raise DataError("no points satisfy the sudden-change condition")
+        raise DataError("no sudden-change points in the evaluated set")
     p, t = pred[mask], truth[mask]
     return MetricsReport(label=label, mae=mae(p, t), rmse=rmse(p, t),
                          n_points=int(p.size))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor, no_grad
-from .data import NormStats, WindowSample
+from .data import NUMBER, NormStats, WindowSample, has_type, read_meta
 from .errors import (ConfigurationError, ContractError, DataError,
                      DimensionError, FormatError)
 from .graph import ScaledLaplacian, SensorGraph, scaled_laplacian
@@ -57,10 +57,17 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(d) - set(defaults)
         if unknown:
             raise ConfigurationError(f"unknown model config keys: {sorted(unknown)}")
+        for key, value in d.items():
+            default = defaults[key]
+            if not has_type(value, NUMBER if isinstance(default, float)
+                            else type(default)):
+                raise ConfigurationError(
+                    f"model config {key!r} must be {type(default).__name__}, "
+                    f"got {value!r}")
         return cls(**d)
 
 
@@ -366,29 +373,29 @@ def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
         np.savez(fh, _meta=np.array(json.dumps(meta)), **ckpt.arrays)
 
 
+_CHECKPOINT_SCHEMA = {"config": dict, "norm_mean": NUMBER, "norm_std": NUMBER,
+                      "n_stations": int, "split_ratio": ([int], type(None))}
+
+
 def load_checkpoint(path) -> ModelCheckpoint:
     try:
         archive = np.load(path, allow_pickle=False)
     except (zipfile.BadZipFile, OSError, ValueError) as e:
         raise FormatError(f"{path}: not a readable checkpoint ({e})") from None
     with archive:
-        if "_meta" not in archive:
-            raise FormatError(f"{path}: missing metadata entry")
-        try:
-            meta = json.loads(str(archive["_meta"]))
-        except json.JSONDecodeError:
-            raise FormatError(f"{path}: corrupt metadata") from None
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise FormatError(f"{path}: unsupported format {meta.get('format')!r}")
+        meta = read_meta(archive, path, CHECKPOINT_FORMAT, _CHECKPOINT_SCHEMA)
         arrays = {key: archive[key] for key in archive.files if key != "_meta"}
-    return ModelCheckpoint(
-        config=ModelConfig.from_dict(meta["config"]),
-        arrays=arrays,
-        norm_mean=meta["norm_mean"],
-        norm_std=meta["norm_std"],
-        n_stations=meta["n_stations"],
-        split_ratio=tuple(meta["split_ratio"]) if meta.get("split_ratio") else None,
-    )
+    try:
+        return ModelCheckpoint(
+            config=ModelConfig.from_dict(meta["config"]),
+            arrays=arrays,
+            norm_mean=meta["norm_mean"],
+            norm_std=meta["norm_std"],
+            n_stations=meta["n_stations"],
+            split_ratio=tuple(meta["split_ratio"]) if meta.get("split_ratio") else None,
+        )
+    except ConfigurationError as e:
+        raise FormatError(f"{path}: {e}") from None
 
 
 def model_from_checkpoint(ckpt: ModelCheckpoint, graph: SensorGraph,

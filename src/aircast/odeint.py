@@ -21,7 +21,6 @@ from .errors import ConfigurationError, ContractError, NumericError
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = "dopri5"  # euler | rk4 | dopri5
     rtol: float = 1e-5
     atol: float = 1e-5
     h_init: float = 0.1
@@ -31,8 +30,6 @@ class SolverConfig:
     factor_max: float = 10.0
 
     def __post_init__(self):
-        if self.method not in ("euler", "rk4", "dopri5"):
-            raise ConfigurationError(f"unknown solver method {self.method!r}")
         if self.rtol <= 0 or self.atol <= 0:
             raise ConfigurationError("rtol and atol must be positive")
         if self.h_init <= 0:
@@ -138,9 +135,11 @@ _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
 
 
 def dopri5_integrate_stats(f: Callable[[float | np.ndarray, Tensor], Tensor],
-                           z0: Tensor, grid: TimeGrid, cfg: SolverConfig
+                           z0: Tensor, grid: TimeGrid,
+                           cfg: SolverConfig = SolverConfig()
                            ) -> tuple[list[Tensor], IntegrationStats]:
-    """Adaptive Dormand-Prince 5(4) integration with step statistics.
+    """States at t_1..t_end from adaptive Dormand-Prince 5(4), with step
+    statistics. Not differentiable.
 
     A 3-D state (batch, n, latent) is `batch` independent systems; any
     other state is one system. Each system has its own time, step size,
@@ -232,16 +231,8 @@ def dopri5_integrate_stats(f: Callable[[float | np.ndarray, Tensor], Tensor],
     return [Tensor(s) for s in states], stats
 
 
-def dopri5_integrate(f: Callable[[float | np.ndarray, Tensor], Tensor],
-                     z0: Tensor, grid: TimeGrid,
-                     cfg: SolverConfig | None = None) -> list[Tensor]:
-    """States at t_1..t_end from the adaptive integrator (not differentiable)."""
-    states, _ = dopri5_integrate_stats(f, z0, grid, cfg or SolverConfig())
-    return states
-
-
 def ode_solve(de: Callable[[float, Tensor], Tensor], z0: Tensor, grid: TimeGrid,
-              cfg: SolverConfig | None = None, mode: str = "infer") -> Tensor:
+              cfg: SolverConfig = SolverConfig(), mode: str = "infer") -> Tensor:
     """Latent trajectory stacked as (steps, *state_shape).
 
     Training integrates with fixed-step RK4 at two substeps per interval so
@@ -250,7 +241,7 @@ def ode_solve(de: Callable[[float, Tensor], Tensor], z0: Tensor, grid: TimeGrid,
     if mode == "train":
         states = fixed_step_integrate(de, z0, grid, method="rk4", substeps=2)
     elif mode == "infer":
-        states = dopri5_integrate(de, z0, grid, cfg)
+        states, _ = dopri5_integrate_stats(de, z0, grid, cfg)
     else:
         raise ContractError(f"mode must be 'train' or 'infer', got {mode!r}")
     return stack(states, axis=0)

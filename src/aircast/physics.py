@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import ConfigurationError, ContractError, DimensionError
 from .graph import ScaledLaplacian
-from .odeint import SolverConfig, TimeGrid, dopri5_integrate
+from .odeint import SolverConfig, TimeGrid, dopri5_integrate_stats
 
 
 def uniform_param(rng: np.random.Generator, shape: tuple, fan_in: int,
@@ -274,14 +274,22 @@ class DEFunction:
                       + ad.mul(ad.sub(1.0, alpha), h_adv))
 
 
-def _reference_grid(t):
+_REFERENCE_CFG = SolverConfig(rtol=1e-8, atol=1e-8)
+
+
+def _reference_solve(op: np.ndarray, x: np.ndarray, t,
+                     cfg: SolverConfig | None) -> np.ndarray:
+    """dX/dt = op X from x at time(s) t: the state, or (len(t), n)."""
     times = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if (times <= 0).any() or (np.diff(times) <= 0).any():
         raise ContractError("simulation times must be positive and increasing")
-    return TimeGrid(np.concatenate(([0.0], times))), times.size
-
-
-_REFERENCE_CFG = SolverConfig(method="dopri5", rtol=1e-8, atol=1e-8)
+    grid = TimeGrid(np.concatenate(([0.0], times)))
+    op_t = Tensor(op)
+    states, _ = dopri5_integrate_stats(lambda _t, y: ad.matmul(op_t, y),
+                                       Tensor(x[:, None]), grid,
+                                       cfg or _REFERENCE_CFG)
+    traj = np.stack([s.data[:, 0] for s in states])
+    return traj if times.size > 1 else traj[0]
 
 
 def simulate_diffusion_reference(w_d: np.ndarray, x0: np.ndarray, coeff: float,
@@ -305,12 +313,7 @@ def simulate_diffusion_reference(w_d: np.ndarray, x0: np.ndarray, coeff: float,
     if x.size != w.shape[0]:
         raise DimensionError(f"x0 size {x.size} does not match graph {w.shape}")
     lap = np.diag(w.sum(axis=1)) - w
-    op = Tensor(-coeff * lap)
-    grid, n_times = _reference_grid(t)
-    states = dopri5_integrate(lambda _t, y: ad.matmul(op, y),
-                              Tensor(x[:, None]), grid, cfg or _REFERENCE_CFG)
-    traj = np.stack([s.data[:, 0] for s in states])
-    return traj if n_times > 1 else traj[0]
+    return _reference_solve(-coeff * lap, x, t, cfg)
 
 
 def simulate_advection_reference(velocities: np.ndarray, x0: np.ndarray, t,
@@ -330,9 +333,4 @@ def simulate_advection_reference(velocities: np.ndarray, x0: np.ndarray, t,
     x = np.asarray(x0, dtype=np.float64).reshape(-1)
     if x.size != v.shape[0]:
         raise DimensionError(f"x0 size {x.size} does not match graph {v.shape}")
-    op = Tensor(v.T - np.diag(v.sum(axis=1)))
-    grid, n_times = _reference_grid(t)
-    states = dopri5_integrate(lambda _t, y: ad.matmul(op, y),
-                              Tensor(x[:, None]), grid, cfg or _REFERENCE_CFG)
-    traj = np.stack([s.data[:, 0] for s in states])
-    return traj if n_times > 1 else traj[0]
+    return _reference_solve(v.T - np.diag(v.sum(axis=1)), x, t, cfg)

@@ -1,5 +1,7 @@
 """Shared fixture helpers for the test suite."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,14 @@ def synthetic_series(steps: int, n: int, seed: int = 0) -> Series3h:
                     pm25=pm,
                     wind_u=rng.standard_normal((steps, n)),
                     wind_v=rng.standard_normal((steps, n)))
+
+
+def rewrite_metadata(src, dst, edit) -> None:
+    """Copy a .npz container with its JSON metadata passed through edit."""
+    with np.load(src) as archive:
+        arrays = {k: archive[k] for k in archive.files if k != "_meta"}
+        meta = json.loads(str(archive["_meta"]))
+    np.savez(dst, _meta=np.array(json.dumps(edit(meta))), **arrays)
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ from aircast.graph import SensorGraph, scaled_laplacian
 from aircast.metrics import SuddenChangeSpec, sudden_change_mask
 from aircast.model import (Model, ModelConfig, checkpoint_roundtrip,
                            make_checkpoint)
-from aircast.odeint import (SolverConfig, TimeGrid, dopri5_integrate,
+from aircast.odeint import (SolverConfig, TimeGrid, dopri5_integrate_stats,
                             fixed_step_integrate)
 from aircast.physics import (simulate_advection_reference,
                              simulate_diffusion_reference)
@@ -52,8 +52,8 @@ def test_c1_adaptive_solver_accuracy():
     t0 = time.perf_counter()
     cfg = SolverConfig(rtol=1e-9, atol=1e-9)
 
-    states = dopri5_integrate(lambda t, z: ad.neg(z), Tensor([[1.0]]),
-                              TimeGrid([0.0, 1.0]), cfg)
+    states, _ = dopri5_integrate_stats(lambda t, z: ad.neg(z), Tensor([[1.0]]),
+                                       TimeGrid([0.0, 1.0]), cfg)
     err_scalar = abs(states[-1].data[0, 0] - math.exp(-1.0))
     assert err_scalar < 1e-6
 
@@ -62,8 +62,8 @@ def test_c1_adaptive_solver_accuracy():
     x0 = rng.standard_normal((3, 1))
     op = Tensor(a)
     grid = TimeGrid([0.0, 0.6, 1.0])
-    states = dopri5_integrate(lambda t, z: ad.matmul(op, z), Tensor(x0),
-                              grid, cfg)
+    states, _ = dopri5_integrate_stats(lambda t, z: ad.matmul(op, z),
+                                       Tensor(x0), grid, cfg)
     worst = 0.0
     for t, s in zip(grid.times[1:], states):
         oracle = scipy.linalg.expm(a * t) @ x0

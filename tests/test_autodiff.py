@@ -355,7 +355,11 @@ def test_tape_retains_only_what_vjps_read(rng):
 def test_gradients_exact_when_intermediate_ids_are_reused(rng):
     # every intermediate is dropped as soon as the next op has read it, so
     # CPython hands its id() to a later tensor; gradients must still reach
-    # the right inputs
+    # the right inputs. Whether a freed id comes back within one forward
+    # depends on the allocator's free lists, which earlier tests and the
+    # hash seed leave in varying states; so the check is repeated, with one
+    # more live tensor-sized object on the heap each time, until a recorded
+    # forward has reused an id.
     x = Parameter(rng.standard_normal((3, 4)) * 0.5, "x")
     w = Parameter(rng.standard_normal((4, 4)) * 0.5, "w")
     ids = []
@@ -368,5 +372,11 @@ def test_gradients_exact_when_intermediate_ids_are_reused(rng):
                 ids.append(id(y))
         return ad.reduce_sum(ad.mul(y, y))
 
-    assert finite_diff_check(f, [x, w]) < 1e-6
+    padding = []
+    for attempt in range(8):
+        ids.clear()
+        assert finite_diff_check(f, [x, w]) < 1e-6
+        if len(set(ids)) < len(ids):
+            break
+        padding.append((attempt,) * 3)
     assert len(set(ids)) < len(ids)

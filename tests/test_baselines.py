@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aircast.baselines import (STEPS_PER_DAY, VarModel, fit_var, ha_forecast,
-                               var_fit_forecast, var_forecast)
+                               var_forecast)
 from aircast.errors import DataError, DimensionError, NumericError
 
 
@@ -138,15 +138,6 @@ def test_var_one_step_prediction_is_in_sample_lstsq(rng):
     pred = model.step(series[-2:])
     assert pred.shape == (1,)
     assert np.isfinite(pred).all()
-
-
-def test_var_fit_forecast_extends_series(rng):
-    a = np.array([[0.8, 0.0], [0.1, 0.7]])
-    series = simulate_var1(a, np.array([2.0, 1.0]), 500, 0.05, rng)
-    out = var_fit_forecast(series, lags=3, horizon=16)
-    assert out.shape == (16, 2)
-    model = fit_var(series, lags=3)
-    np.testing.assert_array_equal(out, var_forecast(model, series[-3:], 16))
 
 
 def test_var_fit_validation():

@@ -4,6 +4,7 @@ from raw CSVs through training, forecasting, and evaluation."""
 import csv
 import re
 import xml.etree.ElementTree as ET
+from collections import defaultdict
 from dataclasses import replace
 from datetime import datetime, timedelta
 
@@ -14,7 +15,11 @@ from aircast.cli import (SEED_ENV, build_parser, cli_dispatch, load_config)
 from aircast.data import load_dataset, make_windows, split_counts
 from aircast.errors import ConfigurationError
 from aircast.graph import SensorGraph
+from aircast.metrics import SuddenChangeSpec, mae, rmse
 from aircast.model import load_checkpoint, model_from_checkpoint
+from aircast.odeint import SolverConfig
+
+from conftest import rewrite_metadata
 
 START = datetime(2017, 1, 1)
 N_STATIONS = 4
@@ -439,11 +444,74 @@ def test_evaluate_sudden_change_shenzhen_threshold(tmp_path, capsys):
     assert "no sudden-change points" in capsys.readouterr().err
 
 
+def sudden_change_oracle(pred, truth, spec):
+    """evaluate's sudden-change line, computed station by station: a point
+    is flagged when its truth exceeds the level and the station's next
+    truth row, exactly three hours later, differs by more than delta."""
+    by_station = defaultdict(list)
+    for (ts, sid), v in truth.items():
+        by_station[sid].append((ts, v))
+    flagged = set()
+    for sid, seq in by_station.items():
+        seq.sort()
+        for (ts, v), (ts2, v2) in zip(seq, seq[1:]):
+            if (ts2 - ts == timedelta(hours=3) and v > spec.level
+                    and abs(v2 - v) > spec.delta):
+                flagged.add((ts, sid))
+    keys = sorted(k for k in set(pred) & set(truth) if k in flagged)
+    p = np.array([pred[k] for k in keys])
+    t = np.array([truth[k] for k in keys])
+    return f"sudden_change mae={mae(p, t)!r} rmse={rmse(p, t)!r} points={len(keys)}"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("city", ["beijing", "shenzhen"])
+def test_evaluate_sudden_change_matches_per_station_oracle(tmp_path, capsys,
+                                                           seed, city):
+    rng = np.random.default_rng(seed)
+    steps, stations = 40, [f"s{j}" for j in range(5)]
+    level = rng.uniform(10.0, 90.0, (steps, len(stations)))
+    truth = {(START + timedelta(hours=3 * k), sid): float(level[k, j])
+             for k in range(steps) for j, sid in enumerate(stations)
+             if rng.random() > 0.2}
+    pred = {key: v + float(rng.normal(0.0, 8.0)) for key, v in truth.items()
+            if rng.random() > 0.1}
+    orphans = [k for k in truth if (k[0] + timedelta(hours=3), k[1]) not in truth]
+    assert len(orphans) > 10  # many points have no 3 h successor
+    paths = []
+    for name, column, points in (("p.csv", "pm25_pred", pred),
+                                 ("t.csv", "pm25", truth)):
+        rows = [f"{ts.isoformat()},{sid},{v!r}\n" for (ts, sid), v in points.items()]
+        rng.shuffle(rows)
+        path = tmp_path / name
+        path.write_text(f"timestamp,station_id,{column}\n" + "".join(rows),
+                        encoding="utf-8")
+        paths.append(str(path))
+    assert cli_dispatch(["evaluate", "--pred", paths[0], "--truth", paths[1],
+                         "--sudden-change", "--city", city]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = sudden_change_oracle(pred, truth, SuddenChangeSpec.for_city(city))
+    assert lines[1] == expected
+    assert int(expected.rsplit("=", 1)[1]) > 10
+
+
+def test_predict_on_incomplete_checkpoint_exits_2(pipeline, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.npz"
+    rewrite_metadata(pipeline["ckpt"], ckpt, lambda meta: {
+        k: v for k, v in meta.items() if k != "norm_mean"})
+    assert cli_dispatch(["predict", "--checkpoint", str(ckpt), "--data",
+                         str(pipeline["data"]), "--horizon", "24h", "--out",
+                         str(tmp_path / "p.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: bad metadata field 'norm_mean': missing" in err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_load_config_defaults_and_sections(tmp_path):
     model_cfg, train_cfg, solver_cfg = load_config(None)
     assert model_cfg.history_steps == 24
     assert train_cfg.batch_size == 32
-    assert solver_cfg.method == "dopri5"
+    assert solver_cfg == SolverConfig()
     ini = tmp_path / "c.ini"
     ini.write_text("[model]\nlatent_dim = 8\ngate_mode = diff_only\n"
                    "[train]\ndecay_epochs = 10, 20\nlearning_rate = 1e-3\n"
@@ -471,6 +539,20 @@ def test_load_config_error_taxonomy(tmp_path):
     bad_value.write_text("[model]\nlatent_dim = tall\n", encoding="utf-8")
     with pytest.raises(ConfigurationError, match="bad value"):
         load_config(bad_value)
+
+
+@pytest.mark.parametrize("section, line, message", [
+    ("train", "clip_norm = nan", "bad value for 'clip_norm' in [train]: 'nan'"),
+    ("solver", "rtol = inf", "bad value for 'rtol' in [solver]: 'inf'"),
+    ("model", "diffusion_coeff_init = inf",
+     "bad value for 'diffusion_coeff_init' in [model]: 'inf'"),
+    ("solver", "method = dopri5", "unknown key 'method' in [solver]"),
+], ids=["nan-clip_norm", "inf-rtol", "inf-diffusion_coeff_init", "method"])
+def test_load_config_rejects_bad_settings(tmp_path, section, line, message):
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        load_config(ini)
 
 
 def test_seed_env_overrides_config(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from aircast.errors import (ConfigurationError, DataError, FormatError,
                             ParseError, UnknownStationError)
 from aircast.graph import Station
 
-from conftest import grid_stations, synthetic_series
+from conftest import grid_stations, rewrite_metadata, synthetic_series
 
 HEADER = "timestamp,station_id,pm25,wind_speed,wind_direction"
 
@@ -458,6 +458,27 @@ def test_load_dataset_error_taxonomy(tmp_path):
         "max_distance_km": None})), pm25=np.zeros((2, 1)))
     with pytest.raises(FormatError, match="missing array"):
         load_dataset(missing)
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda meta: {k: v for k, v in meta.items() if k != "station_ids"},
+     "'station_ids': missing"),
+    (lambda meta: {**meta, "latitudes": ["39.5", 39.8, 40.1]}, "'latitudes'"),
+    (lambda meta: {**meta, "start_epoch": "0"}, "'start_epoch': '0'"),
+    (lambda meta: {**meta, "max_distance_km": "250"}, "'max_distance_km'"),
+    (lambda meta: [meta], "not a JSON object"),
+], ids=["no-station_ids", "str-in-latitudes", "str-start_epoch",
+        "str-max_distance_km", "list-metadata"])
+def test_load_dataset_rejects_malformed_metadata(tmp_path, edit, field):
+    good = tmp_path / "d.npz"
+    save_dataset(Dataset(synthetic_series(12, 3, seed=2), grid_stations(3)),
+                 good)
+    bad = tmp_path / "bad.npz"
+    rewrite_metadata(good, bad, edit)
+    with pytest.raises(FormatError) as info:
+        load_dataset(bad)
+    assert str(info.value).startswith(f"{bad}: ")
+    assert field in str(info.value)
 
 
 def test_series_time_axis():

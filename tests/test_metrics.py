@@ -9,8 +9,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from aircast.errors import ContractError, DataError, DimensionError
 from aircast.metrics import (CITY_LEVELS, HORIZON_STEPS, MetricsReport,
-                             SuddenChangeSpec, compute_metrics,
-                             horizon_reports, mae, masked_metrics, rmse,
+                             SuddenChangeSpec, mae, masked_metrics, rmse,
                              sudden_change_mask)
 
 
@@ -65,39 +64,6 @@ def test_metrics_report_rejects_impossible_ordering():
 
 def test_horizon_step_table():
     assert HORIZON_STEPS == {"24h": 8, "48h": 16, "72h": 24}
-
-
-def test_compute_metrics_prefix_semantics(rng):
-    pred = rng.uniform(0, 100, size=(24, 5))
-    truth = rng.uniform(0, 100, size=(24, 5))
-    day1 = compute_metrics(pred, truth, 8)
-    assert day1.label == "24h"
-    assert day1.n_points == 40
-    assert day1.mae == pytest.approx(mae(pred[:8], truth[:8]), abs=1e-15)
-    full = compute_metrics(pred, truth, 24)
-    assert full.label == "72h"
-    assert full.mae == pytest.approx(mae(pred, truth), abs=1e-15)
-    odd = compute_metrics(pred, truth, 5)
-    assert odd.label == "15h"
-
-
-def test_compute_metrics_errors(rng):
-    pred = rng.uniform(0, 100, size=(8, 2))
-    with pytest.raises(DataError):
-        compute_metrics(pred, pred, 16)
-    with pytest.raises(ContractError):
-        compute_metrics(pred, pred, 0)
-    with pytest.raises(DimensionError):
-        compute_metrics(pred, pred[:, :1], 8)
-
-
-def test_horizon_reports_lists_fitting_leads(rng):
-    pred = rng.uniform(0, 100, size=(24, 2))
-    truth = rng.uniform(0, 100, size=(24, 2))
-    reports = horizon_reports(pred, truth)
-    assert [r.label for r in reports] == ["24h", "48h", "72h"]
-    short = horizon_reports(pred[:16], truth[:16])
-    assert [r.label for r in short] == ["24h", "48h"]
 
 
 def test_city_thresholds():

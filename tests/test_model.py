@@ -21,7 +21,7 @@ from aircast.model import (DecoderParams, GRUParams, LatentHeadParams, Model,
                            save_checkpoint)
 from aircast.training import mae_loss
 
-from conftest import grid_stations, toy_graph
+from conftest import grid_stations, rewrite_metadata, toy_graph
 
 T0 = datetime(2017, 3, 1, tzinfo=timezone.utc)
 
@@ -372,6 +372,28 @@ def test_load_checkpoint_error_taxonomy(tmp_path):
     np.savez(wrong, _meta=np.array(json.dumps({"format": "other-v9"})))
     with pytest.raises(FormatError, match="format"):
         load_checkpoint(wrong)
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda meta: {k: v for k, v in meta.items() if k != "norm_mean"},
+     "'norm_mean': missing"),
+    (lambda meta: {**meta, "n_stations": "3"}, "'n_stations': '3'"),
+    (lambda meta: {**meta, "split_ratio": [7, "1", 2]}, "'split_ratio'"),
+    (lambda meta: {**meta, "config": {"latent_dim": "8"}}, "'latent_dim'"),
+    (lambda meta: {**meta, "config": {"seed": 1.5}}, "'seed'"),
+    (lambda meta: [meta], "not a JSON object"),
+], ids=["no-norm_mean", "str-n_stations", "str-in-split_ratio",
+        "str-latent_dim", "float-seed", "list-metadata"])
+def test_load_checkpoint_rejects_malformed_metadata(tmp_path, edit, field):
+    model = Model(toy_graph(3), tiny_config(), stats=NormStats(50.0, 10.0))
+    good = tmp_path / "c.npz"
+    save_checkpoint(make_checkpoint(model), good)
+    bad = tmp_path / "bad.npz"
+    rewrite_metadata(good, bad, edit)
+    with pytest.raises(FormatError) as info:
+        load_checkpoint(bad)
+    assert str(info.value).startswith(f"{bad}: ")
+    assert field in str(info.value)
 
 
 def test_model_from_checkpoint_station_mismatch(tmp_path):
