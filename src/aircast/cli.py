@@ -248,7 +248,7 @@ def cmd_predict(args) -> int:
     ids = [s.station_id for s in dataset.stations]
     samples = [replace(w, x_hist=stats.normalize(w.x_hist)) for w in origins]
     with no_grad():
-        pred = model.forward_batch(samples, "infer")
+        pred = model.forward_batch(samples, "infer", horizon_steps=horizon)
     # (horizon, origins * n): each origin's n stations side by side
     forecasts = stats.denormalize(pred.data[:, :, 0])
     n = len(ids)

@@ -291,8 +291,12 @@ class Model:
         return x, wind_last, future
 
     def forward_batch(self, samples: Sequence[WindowSample], mode: str,
-                      eps_rng: np.random.Generator | None = None) -> Tensor:
-        """Normalized predictions (horizon, batch*n, 1), sample-major rows."""
+                      eps_rng: np.random.Generator | None = None,
+                      horizon_steps: int | None = None) -> Tensor:
+        """Normalized predictions (horizon, batch*n, 1), sample-major rows.
+
+        The ODE is solved over `horizon_steps` steps, by default the
+        configured horizon."""
         if not samples:
             raise ContractError("empty batch")
         if mode not in ("train", "infer"):
@@ -308,7 +312,9 @@ class Model:
         z0 = ad.reshape(reparameterize(mu, sigma, eps),
                         (len(samples), self.n_stations, self.config.latent_dim))
         self.de.set_flow_from_wind(Tensor(wind_last))
-        grid = TimeGrid.unit(self.config.horizon_steps)
+        if horizon_steps is None:
+            horizon_steps = self.config.horizon_steps
+        grid = TimeGrid.unit(horizon_steps)
         traj = ode_solve(self.de, z0, grid, self.solver, mode)
         return decode_trajectory(traj, self.decoder)
 

@@ -5,11 +5,16 @@ The adaptive Dormand-Prince 5(4) integrator drives its step-size controller on
 raw float64 arrays with recording disabled; it is the inference path and is
 not differentiable. It integrates a (batch, n, latent) state as independent
 systems, each under its own step-size control, so a sample's forecast does
-not depend on the other samples of its batch.
+not depend on the other samples of its batch. It steps at the pace its
+error control sets: only the last grid time clips a step, and the grid
+times a step passes get the method's 4th-order dense output. The last stage
+of an accepted step is reused as the first of the next (FSAL), so an
+attempt costs 6 evaluations of the right-hand side, plus 1 for the start.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -17,6 +22,8 @@ import numpy as np
 
 from .autodiff import Tensor, no_grad, stack
 from .errors import ConfigurationError, ContractError, NumericError
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -118,8 +125,10 @@ def fixed_step_integrate(f: Callable[[float, Tensor], Tensor], z0: Tensor,
     return states
 
 
-# Dormand-Prince 5(4) tableau; last error weight covers the FSAL stage.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau. Stage 7 is evaluated at t + h on the 5th-order
+# solution, so an accepted step's last stage is the next step's first (FSAL);
+# the last error weight covers it.
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
 _DP_A = (
     (),
     (1 / 5,),
@@ -127,11 +136,38 @@ _DP_A = (
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                     -17253 / 339200, 22 / 525, -1 / 40])
+# Free 4th-order continuous extension (Hairer, Norsett & Wanner, Solving
+# ODEs I, II.6; the table of SciPy's RK45): at theta in [0, 1] of a step the
+# weight of stage i is sum_j _DP_DENSE[i, j] * theta^(j+1), which is _DP_B5[i]
+# at theta = 1. Stage 2 has weight 0.
+_DP_DENSE = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+
+
+def _dense_weights(theta: np.ndarray) -> np.ndarray:
+    """(m, 7) stage weights of the continuous extension at thetas (m,).
+
+    Horner's rule elementwise, so a sample's weights do not depend on which
+    other samples share the call."""
+    th = theta[:, None]
+    p = _DP_DENSE
+    return th * (p[:, 0] + th * (p[:, 1] + th * (p[:, 2] + th * p[:, 3])))
 
 
 def dopri5_integrate_stats(f: Callable[[float | np.ndarray, Tensor], Tensor],
@@ -147,19 +183,28 @@ def dopri5_integrate_stats(f: Callable[[float | np.ndarray, Tensor], Tensor],
     the RMS over that system's components of
     err_c / (atol + rtol * max(|z_c|, |z5_c|)); a step is accepted when the
     norm is at most 1 and the next step is h * clamp(safety * norm^(-1/5),
-    factor_min, factor_max). Steps are clipped so each system lands exactly
-    on every grid time. A batched state therefore takes, per sample, the
-    steps that sample would take alone.
+    factor_min, factor_max). Steps are clipped only at the last grid time,
+    which each system lands on exactly. Interior grid times do not shorten
+    a step: a grid time inside an accepted step (t_old, t_new] gets the
+    4th-order continuous extension built from that step's stages (dense
+    output), or the 5th-order solution itself when it equals t_new. A
+    batched state therefore takes, per sample, the steps that sample would
+    take alone.
 
     Every attempt evaluates f once per stage on the whole batch; a sample
     that has reached the last grid time steps with h = 0 until the others
-    finish. f receives t as a float for one system and as a (batch,) array
-    of per-sample times for a 3-D state. `accepted` and `rejected` sum over
-    samples; `f_evals` counts calls of f.
+    finish. The 7th stage of an accepted step is f at the new state, so it
+    is the next step's first stage (first same as last); a sample that
+    rejects its step keeps its old first stage. f receives t as a float for
+    one system and as a (batch,) array of per-sample times for a 3-D state.
+    `accepted` and `rejected` sum over samples; `f_evals` counts calls of f,
+    6 per attempt plus the initial one. Logs the statistics at INFO through
+    the `aircast.odeint` logger.
     """
     stats = IntegrationStats()
     batched = z0.data.ndim == 3
     times = [float(t) for t in grid.times]
+    end = times[-1]
     with no_grad():
         # y is (batch, *state) throughout; one system is a batch of one
         y = np.array(z0.data, dtype=np.float64, copy=True)
@@ -182,28 +227,31 @@ def dopri5_integrate_stats(f: Callable[[float | np.ndarray, Tensor], Tensor],
         h = [cfg.h_init] * batch
         steps = [0] * batch
         nxt = [1] * batch  # index of each sample's next grid time
+        k1 = fnp(np.array(t), y)
         while active := [b for b in range(batch) if nxt[b] < len(times)]:
             h_try = [0.0] * batch
             for b in active:
                 if steps[b] >= cfg.max_steps:
                     raise NumericError(f"step budget {cfg.max_steps} exhausted "
                                        f"at {at(b)} (h={h[b]:.3g})")
-                h_try[b] = min(h[b], times[nxt[b]] - t[b])
+                h_try[b] = min(h[b], end - t[b])
                 if t[b] + h_try[b] <= t[b]:
                     raise NumericError(f"step size underflow at {at(b)}")
             hv = np.array(h_try)
             tv = np.array(t)
             hy = hv.reshape(col)
-            k = [fnp(tv, y)]
-            for i in range(1, 7):
+            k = [k1]
+            for i in range(1, 6):
                 yi = y + hy * sum(a * kj for a, kj in zip(_DP_A[i], k))
                 k.append(fnp(tv + _DP_C[i] * hv, yi))
             y5 = y + hy * sum(b * kj for b, kj in zip(_DP_B5, k) if b != 0.0)
+            k.append(fnp(tv + hv, y5))
             err = hy * sum(e * kj for e, kj in zip(_DP_ERR, k) if e != 0.0)
             scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5))
             norms = np.sqrt(np.mean(((err / scale) ** 2).reshape(batch, -1),
                                     axis=1)).tolist()
             accept = np.zeros(col, dtype=bool)
+            dense = []  # (sample, grid index, theta) inside accepted steps
             for b in active:
                 norm = norms[b]
                 if not np.isfinite(norm):
@@ -212,21 +260,35 @@ def dopri5_integrate_stats(f: Callable[[float | np.ndarray, Tensor], Tensor],
                 if norm <= 1.0:
                     stats.accepted += 1
                     accept[b] = True
-                    target = times[nxt[b]]
                     t_new = t[b] + h_try[b]
-                    # snap onto the grid time once the remainder is roundoff
-                    near = target - t_new <= 1e-12 * max(1.0, abs(target))
-                    t[b] = target if near else t_new
+                    # snap onto the end once the remainder is roundoff
+                    if end - t_new <= 1e-12 * max(1.0, abs(end)):
+                        t_new = end
+                    while nxt[b] < len(times) and times[nxt[b]] <= t_new:
+                        tau = times[nxt[b]]
+                        if tau == t_new:
+                            out[nxt[b] - 1, b] = y5[b]
+                        else:
+                            dense.append((b, nxt[b], (tau - t[b]) / h_try[b]))
+                        nxt[b] += 1
+                    t[b] = t_new
                 else:
                     stats.rejected += 1
                 factor = cfg.factor_max if norm == 0.0 \
                     else cfg.safety * norm ** -0.2
                 h[b] = h_try[b] * min(cfg.factor_max, max(cfg.factor_min, factor))
+            if dense:
+                rows, idx, theta = (np.array(c) for c in zip(*dense))
+                w = _dense_weights(theta) * hv[rows][:, None]
+                wcol = (len(rows),) + (1,) * (y.ndim - 1)
+                out[idx - 1, rows] = y[rows] + sum(
+                    w[:, i].reshape(wcol) * k[i][rows]
+                    for i in range(7) if _DP_DENSE[i].any())
             y = np.where(accept, y5, y)
-            for b in active:
-                if t[b] == times[nxt[b]]:
-                    out[nxt[b] - 1, b] = y[b]
-                    nxt[b] += 1
+            k1 = np.where(accept, k[6], k1)
+    log.info("dopri5: %d systems, %d accepted and %d rejected steps, "
+             "%d RHS calls", batch, stats.accepted, stats.rejected,
+             stats.f_evals)
     states = out if batched else out[:, 0]
     return [Tensor(s) for s in states], stats
 

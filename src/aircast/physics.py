@@ -182,17 +182,6 @@ def gate_alpha(h_diff: Tensor, h_adv: Tensor, params: FusionParams) -> Tensor:
                       + ad.matmul(h_adv, params.w_adv) + params.b)
 
 
-def gated_fusion(h_diff: Tensor, h_adv: Tensor,
-                 params: FusionParams) -> tuple[Tensor, Tensor]:
-    """(alpha, alpha*h_diff + (1-alpha)*h_adv); alpha is elementwise in (0,1)."""
-    if h_diff.shape != h_adv.shape:
-        raise DimensionError(
-            f"branch shapes differ: {h_diff.shape} vs {h_adv.shape}")
-    alpha = gate_alpha(h_diff, h_adv, params)
-    fused = ad.mul(alpha, h_diff) + ad.mul(ad.sub(1.0, alpha), h_adv)
-    return alpha, fused
-
-
 GATE_MODES = ("learned", "diff_only", "adv_only")
 
 

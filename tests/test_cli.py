@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from aircast.cli import (SEED_ENV, build_parser, cli_dispatch, load_config)
-from aircast.data import load_dataset, make_windows, split_counts
+from aircast.data import NormStats, load_dataset, make_windows, split_counts
 from aircast.errors import ConfigurationError
 from aircast.graph import SensorGraph
 from aircast.metrics import SuddenChangeSpec, mae, rmse
-from aircast.model import load_checkpoint, model_from_checkpoint
+from aircast.model import (Model, ModelConfig, load_checkpoint, make_checkpoint,
+                           model_from_checkpoint, save_checkpoint)
 from aircast.odeint import SolverConfig
 
 from conftest import rewrite_metadata
@@ -179,6 +180,63 @@ def test_predict_matches_per_origin_forward_sample(pipeline):
     _, rows = read_csv_rows(pipeline["pred"])
     np.testing.assert_allclose([float(r[2]) for r in rows],
                                np.concatenate(expected), rtol=1e-12, atol=0)
+
+
+SOLVER_LOG = re.compile(r"dopri5: (\d+) systems, (\d+) accepted and "
+                        r"(\d+) rejected steps, (\d+) RHS calls")
+
+
+def test_predict_logs_solver_statistics(pipeline, tmp_path, capsys, caplog):
+    out = tmp_path / "pred.csv"
+    with caplog.at_level("INFO", logger="aircast.odeint"):
+        assert cli_dispatch(["predict", "--checkpoint", str(pipeline["ckpt"]),
+                             "--data", str(pipeline["data"]), "--horizon",
+                             "24h", "--out", str(out)]) == 0
+    _, rows = read_csv_rows(out)
+    origins = len(rows) // (8 * N_STATIONS)
+    assert capsys.readouterr().out == (
+        f"wrote {out}: {len(rows)} rows from {origins} forecast origins at "
+        f"horizon 24h\n")
+    (message,) = caplog.messages
+    systems, accepted, rejected, calls = map(
+        int, SOLVER_LOG.fullmatch(message).groups())
+    assert systems == origins
+    assert accepted >= origins
+    # one call per stage of each attempt of the slowest origin, 6 after the
+    # first since the last stage of a step is the first of the next
+    assert calls % 6 == 1 and 6 * (accepted + rejected) + 1 >= calls
+
+
+def test_predict_24h_matches_first_steps_of_72h(pipeline, tmp_path, caplog):
+    # 24h solves 8 steps, not the checkpoint's 24, and agrees with the first
+    # 8 steps of the 72h forecast to within the solver tolerance
+    ds = load_dataset(pipeline["data"])
+    graph = SensorGraph.from_stations(list(ds.stations), ds.max_distance_km)
+    cfg = ModelConfig(history_steps=8, horizon_steps=24, latent_dim=4,
+                      gru_hidden=8, head_hidden=6, flownet_hidden=4, seed=3)
+    ckpt = tmp_path / "ckpt.npz"
+    save_checkpoint(make_checkpoint(Model(graph, cfg, NormStats(60.0, 25.0)),
+                                    (7, 1, 2)), ckpt)
+    rows, calls = {}, {}
+    for horizon in ("24h", "72h"):
+        out = tmp_path / f"{horizon}.csv"
+        caplog.clear()
+        with caplog.at_level("INFO", logger="aircast.odeint"):
+            assert cli_dispatch(["predict", "--checkpoint", str(ckpt), "--data",
+                                 str(pipeline["data"]), "--horizon", horizon,
+                                 "--out", str(out)]) == 0
+        rows[horizon] = read_csv_rows(out)[1]
+        (message,) = caplog.messages
+        calls[horizon] = int(SOLVER_LOG.fullmatch(message).group(4))
+    origins = len(rows["72h"]) // (24 * N_STATIONS)
+    assert origins >= 1
+    assert len(rows["24h"]) == origins * 8 * N_STATIONS
+    # rows run origin by origin, step by step, station by station
+    first = [r for i, r in enumerate(rows["72h"]) if i // N_STATIONS % 24 < 8]
+    assert [r[:2] for r in first] == [r[:2] for r in rows["24h"]]
+    np.testing.assert_allclose([float(r[2]) for r in rows["24h"]],
+                               [float(r[2]) for r in first], rtol=0, atol=1e-3)
+    assert calls["24h"] < calls["72h"]
 
 
 def test_truth_matches_readings(pipeline):

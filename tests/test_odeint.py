@@ -122,6 +122,9 @@ def test_fixed_step_blowup_names_interval():
 
 
 def test_dopri5_lands_exactly_on_grid_times():
+    # the last grid time is landed on exactly and never stepped past; the
+    # interior grid times inside a step come from the continuous extension
+    # and hold the configured tolerance
     cfg = SolverConfig(rtol=1e-6, atol=1e-6, h_init=0.37)
     seen = []
 
@@ -130,16 +133,59 @@ def test_dopri5_lands_exactly_on_grid_times():
         return ad.neg(z)
 
     grid = TimeGrid([0.0, 0.5, 1.25, 2.0])
-    dopri5_integrate_stats(f, Tensor([[1.0]]), grid, cfg)
-    for target in grid.times[1:]:
-        assert target in seen  # a stage was evaluated exactly at each grid time
+    states, _ = dopri5_integrate_stats(f, Tensor([[1.0]]), grid, cfg)
+    assert seen[-1] == 2.0 and max(seen) == 2.0
+    for t, state in zip(grid.times[1:], states):
+        exact = np.exp(-t)
+        assert abs(state.data[0, 0] - exact) <= cfg.atol + cfg.rtol * exact
 
 
 def test_dopri5_step_statistics():
     _, stats = dopri5_integrate_stats(decay, Tensor([[1.0]]),
                                       TimeGrid([0.0, 1.0]))
     assert stats.accepted >= 1
-    assert stats.f_evals == 7 * (stats.accepted + stats.rejected)
+    # 6 new stages per attempt: the first is the last of the step before
+    assert stats.f_evals == 6 * (stats.accepted + stats.rejected) + 1
+
+
+def test_dopri5_output_times_add_no_steps(rng):
+    a = rng.standard_normal((3, 3))
+    x0 = rng.standard_normal((3, 1))
+    op = Tensor(a)
+    cfg = SolverConfig(rtol=1e-6, atol=1e-6)
+    fine = TimeGrid(np.linspace(0.0, 2.0, 52))  # 50 interior times
+    fine_states, fine_stats = dopri5_integrate_stats(
+        lambda t, z: ad.matmul(op, z), Tensor(x0), fine, cfg)
+    end_states, end_stats = dopri5_integrate_stats(
+        lambda t, z: ad.matmul(op, z), Tensor(x0), TimeGrid([0.0, 2.0]), cfg)
+    assert fine_stats == end_stats
+    assert fine_stats.accepted < 50
+    np.testing.assert_array_equal(fine_states[-1].data, end_states[0].data)
+    for t, state in zip(fine.times[1:], fine_states):
+        np.testing.assert_allclose(state.data, scipy.linalg.expm(a * t) @ x0,
+                                   rtol=0, atol=1e-5)
+
+
+def test_dopri5_dense_output_is_fourth_order(rng):
+    # a 4th-order continuous extension errs by O(h^5) per step; as the
+    # tolerance tightens, the error at interior grid times must fall at
+    # least as fast as the 4th power of the mean step
+    a = rng.standard_normal((3, 3))
+    x0 = rng.standard_normal((3, 1))
+    op = Tensor(a)
+    grid = TimeGrid(np.linspace(0.0, 2.0, 41))
+    exact = [scipy.linalg.expm(a * t) @ x0 for t in grid.times[1:-1]]
+    mean_steps, errors = [], []
+    for tol in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+        states, stats = dopri5_integrate_stats(
+            lambda t, z: ad.matmul(op, z), Tensor(x0), grid,
+            SolverConfig(rtol=tol, atol=tol))
+        mean_steps.append(2.0 / stats.accepted)
+        errors.append(max(np.abs(s.data - e).max()
+                          for s, e in zip(states[:-1], exact)))
+        assert errors[-1] <= 10 * tol
+    slope, _ = np.polyfit(np.log(mean_steps), np.log(errors), 1)
+    assert slope >= 4.0
 
 
 def test_dopri5_rejects_steps_on_stiff_onset():
@@ -192,9 +238,39 @@ def test_dopri5_batch_is_per_sample_solo_runs(rng):
     assert solo_stats[1].accepted > 3 * solo_stats[0].accepted
     assert stats.accepted == sum(st.accepted for st in solo_stats)
     assert stats.rejected == sum(st.rejected for st in solo_stats)
-    # one batched call per stage until the slowest sample is done
-    assert stats.f_evals == 7 * max(st.accepted + st.rejected
-                                    for st in solo_stats)
+    # one batched call per new stage until the slowest sample is done
+    assert stats.f_evals == 6 * max(st.accepted + st.rejected
+                                    for st in solo_stats) + 1
+
+
+def logistic_growth(rates):
+    """dz/dt = rates * z * (1 - z) elementwise; rates has the state's shape."""
+    op = Tensor(rates)
+    return lambda t, z: ad.mul(op, ad.mul(z, ad.sub(1.0, z)))
+
+
+def test_dopri5_first_stage_carry_is_per_sample(rng):
+    # from a tiny first step the slow sample accepts all of its 5 attempts,
+    # while the fast one grows its step until its 5th attempt is rejected
+    # right after an accepted one; each sample must reuse its own last stage,
+    # or keep its own first stage, whatever the other sample did
+    n = 3
+    rates = np.stack([rng.uniform(0.5, 1.0, (n, 1)),
+                      rng.uniform(20.0, 40.0, (n, 1))])
+    z0 = np.stack([rng.uniform(0.2, 0.8, (n, 1)),
+                   rng.uniform(1e-5, 1e-4, (n, 1))])
+    grid = TimeGrid([0.0, 0.3, 1.0])
+    cfg = SolverConfig(rtol=1e-6, atol=1e-6, h_init=1e-4)
+    states, stats = dopri5_integrate_stats(logistic_growth(rates), Tensor(z0),
+                                           grid, cfg)
+    solo = [dopri5_integrate_stats(logistic_growth(rates[b]), Tensor(z0[b]),
+                                   grid, cfg) for b in range(2)]
+    assert solo[0][1].rejected == 0
+    assert solo[1][1].rejected >= 1
+    for b, (solo_states, _) in enumerate(solo):
+        for batched, alone in zip(states, solo_states):
+            np.testing.assert_array_equal(batched.data[b], alone.data)
+    assert stats.rejected == solo[1][1].rejected
 
 
 def test_dopri5_step_budget_is_per_sample(rng):

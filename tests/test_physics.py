@@ -1,5 +1,5 @@
 """Physics-layer tests: flow-field graph construction, Chebyshev branches,
-gated fusion, the assembled right-hand side, and the reference simulators."""
+the gated right-hand side, and the reference simulators."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from aircast.errors import (ConfigurationError, ContractError, DimensionError,
 from aircast.physics import (GATE_MODES, ChebBranchParams, DEFunction,
                              FlowNetParams, FusionParams, cheb_branch,
                              flow_field_adjacency, flow_potentials,
-                             flow_scaled_laplacian, gate_alpha, gated_fusion,
+                             flow_scaled_laplacian, gate_alpha,
                              simulate_advection_reference,
                              simulate_diffusion_reference, uniform_param)
 
@@ -201,38 +201,6 @@ def test_cheb_branch_gradient(rng):
     assert ad.finite_diff_check(loss, params.parameters()) < 1e-6
 
 
-def test_gated_fusion_convex_combination(rng):
-    params = FusionParams.create(rng, 4)
-    h_diff = Tensor(rng.standard_normal((5, 4)))
-    h_adv = Tensor(rng.standard_normal((5, 4)))
-    with no_grad():
-        alpha, fused = gated_fusion(h_diff, h_adv, params)
-    assert np.all((alpha.data > 0) & (alpha.data < 1))
-    expected = alpha.data * h_diff.data + (1 - alpha.data) * h_adv.data
-    np.testing.assert_allclose(fused.data, expected, atol=1e-15)
-    low = np.minimum(h_diff.data, h_adv.data) - 1e-12
-    high = np.maximum(h_diff.data, h_adv.data) + 1e-12
-    assert np.all((fused.data >= low) & (fused.data <= high))
-
-
-def test_gated_fusion_saturated_gate_selects_branch(rng):
-    params = FusionParams.create(rng, 3)
-    params.w_diff.data[:] = 0.0
-    params.w_adv.data[:] = 0.0
-    params.b.data[:] = 40.0
-    h_diff = Tensor(rng.standard_normal((4, 3)))
-    h_adv = Tensor(rng.standard_normal((4, 3)))
-    with no_grad():
-        _, fused = gated_fusion(h_diff, h_adv, params)
-    np.testing.assert_allclose(fused.data, h_diff.data, atol=1e-12)
-
-
-def test_gated_fusion_shape_mismatch(rng):
-    params = FusionParams.create(rng, 3)
-    with pytest.raises(DimensionError):
-        gated_fusion(Tensor(np.zeros((4, 3))), Tensor(np.zeros((5, 3))), params)
-
-
 def make_de_function(rng, n=4, latent=3, gate_mode="learned", order=2, layers=1):
     w = rng.uniform(0.1, 1.0, size=(n, n))
     w = (w + w.T) / 2.0
@@ -336,6 +304,41 @@ def test_de_function_saturated_gate_matches_diff_only(rng):
         func.gate_mode = "diff_only"
         pinned = func(0.0, Tensor(z)).data
     np.testing.assert_allclose(learned, pinned, atol=1e-8)
+
+
+def test_de_function_learned_is_convex_combination(rng):
+    # alpha lies in (0, 1), so the learned mix lies between the two pinned
+    # branches, -k*H_diff and -H_adv, in every component
+    func = make_de_function(rng, n=5, latent=4)
+    z = Tensor(rng.standard_normal((5, 4)))
+    with no_grad():
+        alpha = gate_alpha(cheb_branch(func.dist_tensor, z, func.diff_branch),
+                           cheb_branch(func.flow_lap, z, func.adv_branch),
+                           func.fusion).data
+        learned = func(0.0, z).data
+        func.gate_mode = "diff_only"
+        diff = func(0.0, z).data
+        func.gate_mode = "adv_only"
+        adv = func(0.0, z).data
+    assert np.all((alpha > 0) & (alpha < 1))
+    np.testing.assert_allclose(learned, alpha * diff + (1 - alpha) * adv,
+                               atol=1e-14)
+    low = np.minimum(diff, adv) - 1e-12
+    high = np.maximum(diff, adv) + 1e-12
+    assert np.all((learned >= low) & (learned <= high))
+
+
+def test_de_function_closed_gate_matches_adv_only(rng):
+    func = make_de_function(rng)
+    func.fusion.w_diff.data[:] = 0.0
+    func.fusion.w_adv.data[:] = 0.0
+    func.fusion.b.data[:] = -40.0
+    z = rng.standard_normal((4, 3))
+    with no_grad():
+        learned = func(0.0, Tensor(z)).data
+        func.gate_mode = "adv_only"
+        pinned = func(0.0, Tensor(z)).data
+    np.testing.assert_allclose(learned, pinned, atol=1e-12)
 
 
 def test_de_function_batch_block_diagonal(rng):
