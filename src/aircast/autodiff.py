@@ -267,12 +267,18 @@ def tanh(a) -> Tensor:
     return _result(y, (a,), vjp)
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) without overflow: both exponents are at most 0.
+
+    Bitwise equal to 1 / (1 + e^-|x|) for x >= 0 and e^-|x| / (1 + e^-|x|)
+    below 0, in one pass with two exps.
+    """
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    # evaluate on the negative half-line to avoid overflowing exp
-    x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    y = _logistic(a.data)
 
     def vjp(g):
         return (g * y * (1.0 - y),)
@@ -297,9 +303,7 @@ def softplus(a) -> Tensor:
     y = np.logaddexp(0.0, x)
 
     def vjp(g):
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        return (g * s,)
+        return (g * _logistic(x),)
 
     return _result(y, (a,), vjp)
 
@@ -445,11 +449,10 @@ def backward(loss: Tensor) -> None:
                 if leaf is not None:
                     leaf.grad += ct
                 else:
+                    # no VJP writes into its g, so a cotangent may be kept
+                    # as returned, even when it aliases another one
                     prev = grads.get(key)
-                    if prev is None:
-                        grads[key] = np.array(ct, dtype=np.float64, copy=True)
-                    else:
-                        prev += ct
+                    grads[key] = ct if prev is None else prev + ct
     finally:
         tape.clear()
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import io
 import math
 import os
 import sys
@@ -23,9 +24,9 @@ import numpy as np
 
 from .autodiff import no_grad
 from .baselines import fit_var, ha_forecast, var_forecast
-from .data import (Dataset, chronological_split, impute_missing,
-                   load_dataset, make_windows, parse_finite, parse_readings,
-                   resample_3h, save_dataset, split_counts, _parse_timestamp)
+from .data import (Dataset, chronological_split, forecast_origins,
+                   impute_missing, load_dataset, make_windows, parse_finite,
+                   parse_readings, resample_3h, save_dataset, _parse_timestamp)
 from .errors import (AircastError, ConfigurationError, DataError, ParseError,
                      UnknownStationError)
 from .figures import render_diffusion_lines, render_wind_heatmap
@@ -178,15 +179,37 @@ def _write_rows_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _forecast_rows(window, station_ids, values, history_steps, horizon) -> list:
-    """CSV rows for the first ``horizon`` steps of one forecast window."""
-    rows = []
-    for step in range(horizon):
-        ts = window.start_time + timedelta(hours=3 * (history_steps + step))
-        stamp = ts.isoformat()
-        for j, sid in enumerate(station_ids):
-            rows.append([stamp, sid, repr(float(values[step, j]))])
-    return rows
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it inside a row (quoted if needed)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])  # ends in ',\r\n'
+    return buf.getvalue()[:-3]
+
+
+def _forecast_keys(origins, station_ids, history_steps, horizon) -> list:
+    """'timestamp,station_id,' for every forecast row: origin by origin,
+    step by step, station by station, over each origin's first ``horizon``
+    steps. Each step's timestamp is formatted once, each id quoted once."""
+    ids = [_csv_field(sid) for sid in station_ids]
+    keys = []
+    for w in origins:
+        for step in range(horizon):
+            ts = w.start_time + timedelta(hours=3 * (history_steps + step))
+            prefix = ts.isoformat() + ","
+            keys.extend([f"{prefix}{sid}," for sid in ids])
+    return keys
+
+
+def _write_forecast_csv(path, column, keys, values) -> None:
+    """Header timestamp,station_id,<column>, then one row per key with the
+    repr of its float64 value from ``values``, flattened in key order: the
+    bytes csv.writer writes for these rows, built in one string."""
+    flat = np.asarray(values, dtype=np.float64).ravel().tolist()
+    lines = [f"timestamp,station_id,{column}\r\n"]
+    lines.extend([f"{key}{v!r}\r\n"
+                  for key, v in zip(keys, flat, strict=True)])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(lines))
 
 
 def cmd_ingest(args) -> int:
@@ -222,13 +245,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _select_test_origins(windows, ratio, horizon_steps):
-    """Non-overlapping forecast origins: every horizon-th test window."""
-    n_train, n_val, _ = split_counts(len(windows), ratio)
-    test = windows[n_train + n_val:]
-    return test[::horizon_steps]
-
-
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
@@ -241,9 +257,9 @@ def cmd_predict(args) -> int:
         raise ConfigurationError(
             f"checkpoint predicts {cfg.horizon_steps} steps, "
             f"{args.horizon} needs {horizon}")
-    windows = make_windows(dataset.series, cfg.history_steps, cfg.horizon_steps)
     ratio = ckpt.split_ratio or DEFAULT_SPLIT
-    origins = _select_test_origins(windows, ratio, cfg.horizon_steps)
+    origins = forecast_origins(dataset.series, cfg.history_steps,
+                               cfg.horizon_steps, ratio)
     stats = model.stats
     ids = [s.station_id for s in dataset.stations]
     samples = [replace(w, x_hist=stats.normalize(w.x_hist)) for w in origins]
@@ -251,20 +267,14 @@ def cmd_predict(args) -> int:
         pred = model.forward_batch(samples, "infer", horizon_steps=horizon)
     # (horizon, origins * n): each origin's n stations side by side
     forecasts = stats.denormalize(pred.data[:, :, 0])
-    n = len(ids)
-    pred_rows, truth_rows = [], []
-    for i, w in enumerate(origins):
-        forecast = forecasts[:, i * n:(i + 1) * n]
-        pred_rows.extend(_forecast_rows(w, ids, forecast, cfg.history_steps,
-                                        horizon))
-        truth_rows.extend(_forecast_rows(w, ids, w.x_future[:, :, 0],
-                                         cfg.history_steps, horizon))
-    _write_rows_csv(args.out, ["timestamp", "station_id", "pm25_pred"], pred_rows)
-    print(f"wrote {args.out}: {len(pred_rows)} rows from {len(origins)} "
+    forecasts = forecasts.reshape(horizon, len(origins), -1).swapaxes(0, 1)
+    keys = _forecast_keys(origins, ids, cfg.history_steps, horizon)
+    _write_forecast_csv(args.out, "pm25_pred", keys, forecasts)
+    print(f"wrote {args.out}: {len(keys)} rows from {len(origins)} "
           f"forecast origins at horizon {args.horizon}")
     if args.truth_out:
-        _write_rows_csv(args.truth_out, ["timestamp", "station_id", "pm25"],
-                        truth_rows)
+        _write_forecast_csv(args.truth_out, "pm25", keys,
+                            [w.x_future[:horizon, :, 0] for w in origins])
         print(f"wrote {args.truth_out}: aligned ground truth")
     return 0
 
@@ -281,27 +291,26 @@ def cmd_baseline(args) -> int:
         ratio = DEFAULT_SPLIT
     if args.sparse_split:
         ratio = SPARSE_SPLIT
-    windows = make_windows(dataset.series, history, horizon)
-    origins = _select_test_origins(windows, ratio, horizon)
+    origins = forecast_origins(dataset.series, history, horizon, ratio)
     ids = [s.station_id for s in dataset.stations]
-    pred_rows, truth_rows = [], []
+    forecasts = []
     for w in origins:
         start = w.start_index + history
         if args.method == "ha":
-            forecast = ha_forecast(series, range(start, start + horizon))
+            forecasts.append(ha_forecast(series,
+                                         range(start, start + horizon)))
         else:
             # fit only on data available at the forecast origin
             model = fit_var(series[:start], lags=3)
-            forecast = var_forecast(model, series[start - 3:start], horizon)
-        pred_rows.extend(_forecast_rows(w, ids, forecast, history, horizon))
-        truth_rows.extend(_forecast_rows(w, ids, w.x_future[:, :, 0], history,
-                                         horizon))
-    _write_rows_csv(args.out, ["timestamp", "station_id", "pm25_pred"], pred_rows)
-    print(f"wrote {args.out}: {args.method} baseline, {len(pred_rows)} rows "
+            forecasts.append(var_forecast(model, series[start - 3:start],
+                                          horizon))
+    keys = _forecast_keys(origins, ids, history, horizon)
+    _write_forecast_csv(args.out, "pm25_pred", keys, forecasts)
+    print(f"wrote {args.out}: {args.method} baseline, {len(keys)} rows "
           f"from {len(origins)} forecast origins")
     if args.truth_out:
-        _write_rows_csv(args.truth_out, ["timestamp", "station_id", "pm25"],
-                        truth_rows)
+        _write_forecast_csv(args.truth_out, "pm25", keys,
+                            [w.x_future[:, :, 0] for w in origins])
         print(f"wrote {args.truth_out}: aligned ground truth")
     return 0
 

@@ -285,24 +285,38 @@ def resample_3h(series: HourlySeries) -> Series3h:
                     pm25=pm, wind_u=u3, wind_v=v3)
 
 
-def make_windows(series: Series3h, history_steps: int = 24,
-                 horizon_steps: int = 24, stride: int = 1) -> list[WindowSample]:
-    """Slide (history + horizon)-step windows over the 3-hour series.
-
-    Window arrays are read-only views of the series, not copies.
-    """
-    if history_steps < 1 or horizon_steps < 1 or stride < 1:
-        raise ConfigurationError("window sizes and stride must be positive")
+def window_count(series: Series3h, history_steps: int,
+                 horizon_steps: int) -> int:
+    """Number of stride-1 (history + horizon)-step windows in the series."""
+    if history_steps < 1 or horizon_steps < 1:
+        raise ConfigurationError("window sizes must be positive")
     total = history_steps + horizon_steps
     if series.steps < total:
         raise DataError(
             f"series of {series.steps} steps is shorter than one "
             f"{total}-step window")
+    return series.steps - total + 1
+
+
+def make_windows(series: Series3h, history_steps: int = 24,
+                 horizon_steps: int = 24, stride: int = 1,
+                 first: int = 0) -> list[WindowSample]:
+    """Slide (history + horizon)-step windows over the 3-hour series,
+    starting at step ``first`` and moving ``stride`` steps at a time.
+
+    Window arrays are read-only views of the series, not copies; start
+    indices and times are absolute, whatever ``first`` is.
+    """
+    if stride < 1 or first < 0:
+        raise ConfigurationError(
+            "window stride must be positive and the first start non-negative")
+    count = window_count(series, history_steps, horizon_steps)
+    total = history_steps + horizon_steps
     windows = []
     wind = np.stack([series.wind_u, series.wind_v], axis=-1)  # (steps, n, 2)
     x = series.pm25[..., None]                                # (steps, n, 1)
     wind.flags.writeable = x.flags.writeable = False
-    for s in range(0, series.steps - total + 1, stride):
+    for s in range(first, count, stride):
         windows.append(WindowSample(
             x_hist=x[s:s + history_steps],
             p_hist=wind[s:s + history_steps],
@@ -332,6 +346,19 @@ def split_counts(n: int, ratio: tuple = (7, 1, 2)) -> tuple[int, int, int]:
             f"split {ratio} of {n} windows leaves an empty partition "
             f"({n_train}/{n_val}/{n_test})")
     return n_train, n_val, n_test
+
+
+def forecast_origins(series: Series3h, history_steps: int, horizon_steps: int,
+                     ratio: tuple = (7, 1, 2)) -> list[WindowSample]:
+    """Non-overlapping forecast origins: every horizon-th window of the test
+    partition that chronological_split would make from all the windows.
+
+    Only these windows are built.
+    """
+    n_train, n_val, _ = split_counts(
+        window_count(series, history_steps, horizon_steps), ratio)
+    return make_windows(series, history_steps, horizon_steps,
+                        stride=horizon_steps, first=n_train + n_val)
 
 
 def chronological_split(windows: list[WindowSample],

@@ -27,8 +27,8 @@ from .errors import (ConfigurationError, ContractError, DataError,
                      DimensionError, FormatError)
 from .graph import ScaledLaplacian, SensorGraph, scaled_laplacian
 from .odeint import SolverConfig, TimeGrid, ode_solve
-from .physics import (ChebBranchParams, DEFunction, FlowNetParams, FusionParams,
-                      GATE_MODES, uniform_param)
+from .physics import (DEFunction, FlowNetParams, FusionParams, GATE_MODES,
+                      PowerBranchParams, uniform_param)
 
 
 @dataclass(frozen=True)
@@ -230,10 +230,10 @@ class Model:
         self.de = DEFunction(
             dist_lap=self.dist_lap,
             flow=FlowNetParams.create(rng, config.flownet_hidden),
-            diff_branch=ChebBranchParams.create(
+            diff_branch=PowerBranchParams.create(
                 rng, config.latent_dim, config.cheb_order, config.cheb_layers,
                 prefix="diff"),
-            adv_branch=ChebBranchParams.create(
+            adv_branch=PowerBranchParams.create(
                 rng, config.latent_dim, config.cheb_order, config.cheb_layers,
                 prefix="adv"),
             fusion=FusionParams.create(rng, config.latent_dim),

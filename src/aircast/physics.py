@@ -3,8 +3,8 @@
 The latent state evolves by dz/dt = F(z) where F combines a diffusion branch
 driven by the fixed distance Laplacian and an advection branch driven by a
 flow-field Laplacian built from the latest wind observations. Both branches
-are residual Chebyshev graph convolutions; a sigmoid gate mixes them and the
-trainable diffusion coefficient scales the diffusion side.
+are residual graph convolutions over Laplacian powers; a sigmoid gate mixes
+them and the trainable diffusion coefficient scales the diffusion side.
 """
 
 from __future__ import annotations
@@ -93,11 +93,12 @@ def flow_scaled_laplacian(wind: Tensor, params: FlowNetParams) -> Tensor:
 
 
 @dataclass
-class ChebBranchParams:
+class PowerBranchParams:
     """Residual graph-convolution stack using plain Laplacian powers.
 
     Layer l maps H to act(sum_k Lap^k H theta[l][k]); the branch output is
-    the residual sum of the input and every layer output.
+    the residual sum of the input and every layer output. The powers are
+    Lap^k themselves, not the Chebyshev recurrence T_k(Lap).
     """
 
     thetas: tuple  # thetas[layer][k] is a (latent, latent) Parameter
@@ -116,7 +117,8 @@ class ChebBranchParams:
 
     @classmethod
     def create(cls, rng, latent_dim: int, order: int = 3, layers: int = 2,
-               prefix: str = "cheb", activation: str = "tanh") -> "ChebBranchParams":
+               prefix: str = "branch",
+               activation: str = "tanh") -> "PowerBranchParams":
         if order < 1 or layers < 1:
             raise ContractError("order and layers must be at least 1")
         stack = tuple(
@@ -130,7 +132,7 @@ class ChebBranchParams:
         return [th for layer in self.thetas for th in layer]
 
 
-def cheb_branch(lap: Tensor, h0: Tensor, params: ChebBranchParams) -> Tensor:
+def cheb_branch(lap: Tensor, h0: Tensor, params: PowerBranchParams) -> Tensor:
     """Residual sum h0 + sum_l act(sum_k Lap^k H theta_k).
 
     The state is (n, latent) or a minibatch (batch, n, latent). lap is one
@@ -188,8 +190,9 @@ GATE_MODES = ("learned", "diff_only", "adv_only")
 class DEFunction:
     """Right-hand side F(z) = -alpha*k*H_diff - (1-alpha)*H_adv.
 
-    Holds the fixed distance Laplacian, both Chebyshev branches, the fusion
-    gate, and the raw diffusion coefficient (softplus keeps it positive).
+    Holds the fixed distance Laplacian, both Laplacian-power branches, the
+    fusion gate, and the raw diffusion coefficient (softplus keeps it
+    positive).
     The flow-field Laplacian is sample state and must be set before a call:
     one (n, n) Laplacian for a state (n, latent), or one per sample,
     (batch, n, n), for a state (batch, n, latent). gate_mode can pin alpha to
@@ -199,7 +202,7 @@ class DEFunction:
     """
 
     def __init__(self, dist_lap: ScaledLaplacian, flow: FlowNetParams,
-                 diff_branch: ChebBranchParams, adv_branch: ChebBranchParams,
+                 diff_branch: PowerBranchParams, adv_branch: PowerBranchParams,
                  fusion: FusionParams, diffusion_coeff_raw: Parameter,
                  gate_mode: str = "learned"):
         if gate_mode not in GATE_MODES:

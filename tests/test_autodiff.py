@@ -187,6 +187,27 @@ def test_sigmoid_and_softplus_stable_at_extremes():
     assert sp[0, 0] == 800.0 and sp[0, 1] == 0.0
 
 
+def _three_exp_logistic(x):
+    # the formula sigmoid and softplus's gradient used to evaluate
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
+EDGE_VALUES = [0.0, -0.0, 800.0, -800.0, 1e308, -1e308, 5e-324, -5e-324,
+               2.2250738585072014e-308, -1e-310, 36.7, -36.7, 745.2, -745.2]
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0, 100.0, 1000.0])
+def test_sigmoid_and_softplus_gradient_bitwise_equal_three_exp_formula(
+        rng, scale):
+    x = np.concatenate([rng.standard_normal(500) * scale, EDGE_VALUES])
+    expected = _three_exp_logistic(x)
+    np.testing.assert_array_equal(ad.sigmoid(Tensor(x)).data, expected)
+    p = Parameter(x, "p")
+    backward(ad.reduce_sum(ad.softplus(p)))
+    np.testing.assert_array_equal(p.grad, expected)
+
+
 def test_reduce_sum_axis_gradients(rng):
     x = Parameter(rng.standard_normal((3, 4)), "x")
     w = Tensor(rng.standard_normal(4))
@@ -271,6 +292,23 @@ def test_diamond_graph_gradient():
     y = ad.add(x, x)                 # 2x
     backward(ad.reduce_sum(ad.mul(y, y)))  # d/dx (2x)^2 = 8x
     np.testing.assert_allclose(x.grad, [[12.0]], atol=1e-12)
+
+
+def test_backward_exact_when_cotangents_alias(rng):
+    # add hands one array to both inputs, so y's two cotangents and v's are
+    # the same memory; accumulating y's in place would change v's
+    x0 = rng.standard_normal((3, 4))
+    c = rng.standard_normal((3, 4))
+    x = Parameter(x0, "x")
+    y = ad.tanh(x)
+    v = ad.exp(x)
+    q = ad.add(ad.add(y, y), v)
+    backward(ad.reduce_sum(ad.mul(q, Tensor(c))))
+    gq = np.ones_like(c) * c
+    expected = np.zeros_like(x0)
+    expected += gq * np.exp(x0)
+    expected += (gq + gq) * (1.0 - np.tanh(x0) * np.tanh(x0))
+    np.testing.assert_array_equal(x.grad, expected)
 
 
 def test_backward_requires_scalar():

@@ -11,6 +11,8 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from aircast.autodiff import no_grad
+from aircast.baselines import fit_var, ha_forecast, var_forecast
 from aircast.cli import (SEED_ENV, build_parser, cli_dispatch, load_config)
 from aircast.data import NormStats, load_dataset, make_windows, split_counts
 from aircast.errors import ConfigurationError
@@ -262,6 +264,101 @@ def test_baseline_outputs(pipeline):
     _, model_rows = read_csv_rows(pipeline["pred"])
     _, ha_rows = read_csv_rows(pipeline["ha"])
     assert {(r[0], r[1]) for r in ha_rows} == {(r[0], r[1]) for r in model_rows}
+
+
+QUIRKY_IDS = ["s 0", "a,b", 'say "hi"', "in  ner"]
+
+
+def _old_forecast_csv(path, column, origins, ids, values, history, horizon):
+    """The row layout and writer predict and baseline used to have: one
+    csv.writer row per (origin, step, station) with repr of the value."""
+    rows = []
+    for w, v in zip(origins, values):
+        for step in range(horizon):
+            ts = w.start_time + timedelta(hours=3 * (history + step))
+            for j, sid in enumerate(ids):
+                rows.append([ts.isoformat(), sid, repr(float(v[step, j]))])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "station_id", column])
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def test_forecast_csvs_are_byte_equal_to_csv_writer(tmp_path, capsys):
+    # station ids that csv.writer must quote, with inner spaces kept
+    stations = tmp_path / "stations.csv"
+    readings = tmp_path / "readings.csv"
+    with open(stations, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["station_id", "latitude", "longitude"])
+        for i, sid in enumerate(QUIRKY_IDS):
+            writer.writerow([sid, 39.5 + 0.3 * (i % 2), 116.0 + 0.3 * (i // 2)])
+    rng = np.random.default_rng(4)
+    with open(readings, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "station_id", "pm25", "wind_speed",
+                         "wind_direction"])
+        for h in range(3 * 150):
+            ts = (START + timedelta(hours=h)).isoformat()
+            for i, sid in enumerate(QUIRKY_IDS):
+                writer.writerow([ts, sid, 60 + 30 * np.sin(h / 9 + i)
+                                 + rng.random(), 2 + rng.random(),
+                                 360 * rng.random()])
+    data = tmp_path / "data.npz"
+    assert cli_dispatch(["ingest", "--stations", str(stations), "--readings",
+                         str(readings), "--out", str(data)]) == 0
+    ds = load_dataset(data)
+    assert list(ds.series.station_ids) == QUIRKY_IDS
+    graph = SensorGraph.from_stations(list(ds.stations), ds.max_distance_km)
+    cfg = ModelConfig(history_steps=8, horizon_steps=24, latent_dim=4,
+                      gru_hidden=8, head_hidden=6, flownet_hidden=4, seed=5)
+    ckpt = tmp_path / "ckpt.npz"
+    model = Model(graph, cfg, NormStats(60.0, 25.0))
+    save_checkpoint(make_checkpoint(model, (7, 1, 2)), ckpt)
+    windows = make_windows(ds.series, 8, 24)
+    n_train, n_val, _ = split_counts(len(windows), (7, 1, 2))
+    origins = windows[n_train + n_val::24]
+    assert len(origins) >= 2
+    samples = [replace(w, x_hist=model.stats.normalize(w.x_hist))
+               for w in origins]
+    for label, horizon in (("24h", 8), ("72h", 24)):
+        out, truth = tmp_path / f"{label}.csv", tmp_path / f"{label}_truth.csv"
+        assert cli_dispatch(["predict", "--checkpoint", str(ckpt), "--data",
+                             str(data), "--horizon", label, "--out", str(out),
+                             "--truth-out", str(truth)]) == 0
+        with no_grad():
+            pred = model.forward_batch(samples, "infer", horizon_steps=horizon)
+        forecasts = model.stats.denormalize(pred.data[:, :, 0])
+        n = len(QUIRKY_IDS)
+        values = [forecasts[:, i * n:(i + 1) * n] for i in range(len(origins))]
+        assert out.read_bytes() == _old_forecast_csv(
+            tmp_path / "oracle.csv", "pm25_pred", origins, QUIRKY_IDS, values,
+            8, horizon)
+        assert truth.read_bytes() == _old_forecast_csv(
+            tmp_path / "oracle.csv", "pm25", origins, QUIRKY_IDS,
+            [w.x_future[:, :, 0] for w in origins], 8, horizon)
+    series = ds.series.pm25
+    for method in ("ha", "var"):
+        out, truth = tmp_path / f"{method}.csv", tmp_path / f"{method}_t.csv"
+        assert cli_dispatch(["baseline", "--method", method, "--data", str(data),
+                             "--checkpoint", str(ckpt), "--out", str(out),
+                             "--truth-out", str(truth)]) == 0
+        values = []
+        for w in origins:
+            start = w.start_index + 8
+            if method == "ha":
+                values.append(ha_forecast(series, range(start, start + 24)))
+            else:
+                var = fit_var(series[:start], lags=3)
+                values.append(var_forecast(var, series[start - 3:start], 24))
+        assert out.read_bytes() == _old_forecast_csv(
+            tmp_path / "oracle.csv", "pm25_pred", origins, QUIRKY_IDS, values,
+            8, 24)
+        assert truth.read_bytes() == _old_forecast_csv(
+            tmp_path / "oracle.csv", "pm25", origins, QUIRKY_IDS,
+            [w.x_future[:, :, 0] for w in origins], 8, 24)
+    capsys.readouterr()
 
 
 def test_evaluate_model_output(pipeline, capsys):

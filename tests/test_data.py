@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from aircast.data import (Dataset, HourlySeries, NormStats, Series3h,
-                          chronological_split, impute_missing, load_dataset,
-                          make_windows, parse_readings, resample_3h,
-                          save_dataset, split_counts, wind_components)
+                          chronological_split, forecast_origins,
+                          impute_missing, load_dataset, make_windows,
+                          parse_readings, resample_3h, save_dataset,
+                          split_counts, wind_components)
 from aircast.errors import (ConfigurationError, DataError, FormatError,
                             ParseError, UnknownStationError)
 from aircast.graph import Station
@@ -345,6 +346,31 @@ def test_make_windows_stride_and_errors():
         make_windows(series, 10, 3)
     with pytest.raises(ConfigurationError):
         make_windows(series, 0, 3)
+
+
+@pytest.mark.parametrize("ratio", [(7, 1, 2), (3, 1, 6), (6.5, 1.5, 2.0)])
+@pytest.mark.parametrize("history, horizon", [(4, 3), (8, 24)])
+def test_forecast_origins_are_every_horizonth_test_window(ratio, history,
+                                                          horizon):
+    series = synthetic_series(200, 3, seed=4)
+    windows = make_windows(series, history, horizon)
+    n_train, n_val, _ = split_counts(len(windows), ratio)
+    expected = windows[n_train + n_val::horizon]
+    got = forecast_origins(series, history, horizon, ratio)
+    assert len(got) == len(expected) >= 2
+    for g, e in zip(got, expected):
+        assert g.start_index == e.start_index
+        assert g.start_time == e.start_time
+        for name in ("x_hist", "p_hist", "x_future"):
+            np.testing.assert_array_equal(getattr(g, name), getattr(e, name))
+
+
+def test_forecast_origins_short_series_is_data_error():
+    series = synthetic_series(12, 2, seed=1)
+    with pytest.raises(DataError, match="shorter than one 13-step window"):
+        forecast_origins(series, 10, 3)
+    with pytest.raises(ConfigurationError):
+        make_windows(series, 4, 3, first=-1)
 
 
 def test_split_counts_exact():

@@ -1,5 +1,5 @@
-"""Physics-layer tests: flow-field graph construction, Chebyshev branches,
-the gated right-hand side, and the reference simulators."""
+"""Physics-layer tests: flow-field graph construction, Laplacian-power
+branches, the gated right-hand side, and the reference simulators."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,8 @@ from aircast import graph
 from aircast.autodiff import Parameter, Tensor, backward, clear_tape, no_grad
 from aircast.errors import (ConfigurationError, ContractError, DimensionError,
                             NumericError)
-from aircast.physics import (GATE_MODES, ChebBranchParams, DEFunction,
-                             FlowNetParams, FusionParams, cheb_branch,
+from aircast.physics import (GATE_MODES, DEFunction, FlowNetParams,
+                             FusionParams, PowerBranchParams, cheb_branch,
                              flow_field_adjacency, flow_potentials,
                              flow_scaled_laplacian, gate_alpha,
                              simulate_advection_reference,
@@ -142,7 +142,7 @@ def test_cheb_branch_matches_numpy_oracle(rng):
     lap = rng.standard_normal((5, 5))
     lap = (lap + lap.T) / 4.0
     h0 = rng.standard_normal((5, 6))
-    params = ChebBranchParams.create(rng, 6, order=3, layers=2)
+    params = PowerBranchParams.create(rng, 6, order=3, layers=2)
     with no_grad():
         got = cheb_branch(Tensor(lap), Tensor(h0), params).data
     np.testing.assert_allclose(got, cheb_oracle(lap, h0, params), atol=1e-12)
@@ -151,7 +151,7 @@ def test_cheb_branch_matches_numpy_oracle(rng):
 def test_cheb_branch_identity_activation(rng):
     lap = np.diag([0.5, -0.5])
     h0 = rng.standard_normal((2, 3))
-    params = ChebBranchParams.create(rng, 3, order=2, layers=1,
+    params = PowerBranchParams.create(rng, 3, order=2, layers=1,
                                      activation="identity")
     with no_grad():
         got = cheb_branch(Tensor(lap), Tensor(h0), params).data
@@ -163,7 +163,7 @@ def test_cheb_branch_identity_activation(rng):
 def test_cheb_branch_order_one_uses_no_laplacian(rng):
     # order 1 keeps only the k=0 term, so the laplacian cannot matter
     h0 = rng.standard_normal((4, 3))
-    params = ChebBranchParams.create(rng, 3, order=1, layers=2)
+    params = PowerBranchParams.create(rng, 3, order=1, layers=2)
     with no_grad():
         a = cheb_branch(Tensor(np.zeros((4, 4))), Tensor(h0), params).data
         b = cheb_branch(Tensor(rng.standard_normal((4, 4))), Tensor(h0),
@@ -172,7 +172,7 @@ def test_cheb_branch_order_one_uses_no_laplacian(rng):
 
 
 def test_cheb_branch_shape_validation(rng):
-    params = ChebBranchParams.create(rng, 3)
+    params = PowerBranchParams.create(rng, 3)
     with pytest.raises(DimensionError):
         cheb_branch(Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 3))), params)
     with pytest.raises(DimensionError):
@@ -181,19 +181,19 @@ def test_cheb_branch_shape_validation(rng):
 
 def test_cheb_params_validation(rng):
     with pytest.raises(ContractError):
-        ChebBranchParams.create(rng, 3, order=0)
+        PowerBranchParams.create(rng, 3, order=0)
     with pytest.raises(ContractError):
-        ChebBranchParams.create(rng, 3, activation="relu")
-    ragged = (ChebBranchParams.create(rng, 2, order=2).thetas[0],
-              ChebBranchParams.create(rng, 2, order=3).thetas[0])
+        PowerBranchParams.create(rng, 3, activation="relu")
+    ragged = (PowerBranchParams.create(rng, 2, order=2).thetas[0],
+              PowerBranchParams.create(rng, 2, order=3).thetas[0])
     with pytest.raises(ContractError):
-        ChebBranchParams(thetas=ragged)
+        PowerBranchParams(thetas=ragged)
 
 
 def test_cheb_branch_gradient(rng):
     lap = rng.standard_normal((3, 3)) * 0.3
     h0 = Tensor(rng.standard_normal((3, 4)))
-    params = ChebBranchParams.create(rng, 4, order=2, layers=2)
+    params = PowerBranchParams.create(rng, 4, order=2, layers=2)
 
     def loss():
         return ad.reduce_sum(cheb_branch(Tensor(lap), h0, params))
@@ -209,9 +209,9 @@ def make_de_function(rng, n=4, latent=3, gate_mode="learned", order=2, layers=1)
     func = DEFunction(
         dist_lap=dist_lap,
         flow=FlowNetParams.create(rng, hidden=4),
-        diff_branch=ChebBranchParams.create(rng, latent, order=order,
+        diff_branch=PowerBranchParams.create(rng, latent, order=order,
                                             layers=layers, prefix="cd"),
-        adv_branch=ChebBranchParams.create(rng, latent, order=order,
+        adv_branch=PowerBranchParams.create(rng, latent, order=order,
                                            layers=layers, prefix="ca"),
         fusion=FusionParams.create(rng, latent),
         diffusion_coeff_raw=Parameter(
@@ -246,8 +246,8 @@ def test_de_function_rejects_distance_mismatch(rng):
         make_de_function(rng).__class__(
             dist_lap=flow_lap,
             flow=FlowNetParams.create(rng, hidden=4),
-            diff_branch=ChebBranchParams.create(rng, 3),
-            adv_branch=ChebBranchParams.create(rng, 3),
+            diff_branch=PowerBranchParams.create(rng, 3),
+            adv_branch=PowerBranchParams.create(rng, 3),
             fusion=FusionParams.create(rng, 3),
             diffusion_coeff_raw=Parameter(np.zeros((1, 1)), "k"),
         )
