@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError, NumericError
+from .errors import DataError, DimensionError
 
 STEPS_PER_DAY = 8
+RIDGE = 1e-6  # penalty of a rank-deficient VAR fit
 
 
 def ha_forecast(series: np.ndarray, target_indices, days: int = 4,
@@ -72,15 +73,13 @@ class VarModel:
         return pred
 
 
-def fit_var(series: np.ndarray, lags: int = 3,
-            ridge: float | None = 1e-6) -> VarModel:
+def fit_var(series: np.ndarray, lags: int = 3) -> VarModel:
     """Least-squares fit of a VAR with intercept.
 
     Plain least squares is used when the design matrix has full column
     rank; otherwise (constant series, collinear stations) the normal
-    equations are solved with a small ridge penalty so the fit stays
-    defined. Passing ridge=None makes a rank-deficient fit an error
-    instead.
+    equations are solved with the ridge penalty RIDGE so the fit stays
+    defined.
     """
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 2:
@@ -98,11 +97,7 @@ def fit_var(series: np.ndarray, lags: int = 3,
     solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     ridge_used = False
     if rank < design.shape[1]:
-        if ridge is None:
-            raise NumericError(
-                f"design matrix is rank deficient ({rank} < {design.shape[1]}) "
-                f"and ridge regularization is disabled")
-        gram = design.T @ design + ridge * np.eye(design.shape[1])
+        gram = design.T @ design + RIDGE * np.eye(design.shape[1])
         solution = np.linalg.solve(gram, design.T @ target)
         ridge_used = True
     intercept = solution[0]

@@ -56,6 +56,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a finite number, so nan and inf are usage errors."""
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+
+
 def _section_kwargs(cp: configparser.ConfigParser, name: str, cls) -> dict:
     if not cp.has_section(name):
         return {}
@@ -214,6 +225,8 @@ def _write_forecast_csv(path, column, keys, values) -> None:
 
 def cmd_ingest(args) -> int:
     stations = load_stations(args.stations)
+    # a bad cutoff or coincident stations fail here, before the long parse
+    SensorGraph.from_stations(stations, args.max_distance_km)
     hourly = parse_readings(args.readings, [s.station_id for s in stations])
     series = resample_3h(impute_missing(hourly))
     save_dataset(Dataset(series, stations, args.max_distance_km), args.out)
@@ -287,7 +300,8 @@ def cmd_baseline(args) -> int:
         history, horizon = ckpt.config.history_steps, ckpt.config.horizon_steps
         ratio = ckpt.split_ratio or DEFAULT_SPLIT
     else:
-        history, horizon = 24, 24
+        cfg = ModelConfig()
+        history, horizon = cfg.history_steps, cfg.horizon_steps
         ratio = DEFAULT_SPLIT
     if args.sparse_split:
         ratio = SPARSE_SPLIT
@@ -400,7 +414,7 @@ def build_parser() -> _Parser:
     p.add_argument("--stations", required=True)
     p.add_argument("--readings", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-distance-km", type=float, default=None,
+    p.add_argument("--max-distance-km", type=_finite_float, default=None,
                    help="drop graph edges longer than this (default: none)")
     p.set_defaults(func=cmd_ingest)
 
@@ -442,9 +456,9 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", required=True, choices=["diffusion", "advection"])
     p.add_argument("--graph", required=True, help="stations CSV")
     p.add_argument("--x0", required=True, help="station_id,value CSV")
-    p.add_argument("--t", required=True, type=float)
+    p.add_argument("--t", required=True, type=_finite_float)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=float, default=0.1,
+    p.add_argument("--k", type=_finite_float, default=0.1,
                    help="diffusion coefficient (diffusion mode)")
     p.add_argument("--velocities", default=None,
                    help="headerless NxN edge-velocity CSV (advection mode)")
@@ -458,7 +472,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--wind", default=None, help="station_id,u,v CSV")
     p.add_argument("--source", default=None, help="source station id")
-    p.add_argument("--k", type=float, default=0.1)
+    p.add_argument("--k", type=_finite_float, default=0.1)
     p.set_defaults(func=cmd_plot)
 
     return parser

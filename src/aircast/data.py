@@ -46,9 +46,6 @@ class HourlySeries:
     def hours(self) -> int:
         return self.pm25.shape[0]
 
-    def time_at(self, index: int) -> datetime:
-        return self.start + timedelta(hours=index)
-
 
 @dataclass
 class Series3h:
@@ -328,18 +325,14 @@ def make_windows(series: Series3h, history_steps: int = 24,
 
 
 def split_counts(n: int, ratio: tuple = (7, 1, 2)) -> tuple[int, int, int]:
-    """Partition sizes: floor for train and val, remainder to test."""
-    if len(ratio) != 3 or any(r <= 0 for r in ratio):
-        raise ConfigurationError(f"ratio must be three positive parts, got {ratio}")
-    if all(float(r).is_integer() for r in ratio):
-        # exact floor for integer ratios like 7:1:2
-        total = int(sum(ratio))
-        n_train = (n * int(ratio[0])) // total
-        n_val = (n * int(ratio[1])) // total
-    else:
-        total = float(sum(ratio))
-        n_train = int(n * ratio[0] / total)
-        n_val = int(n * ratio[1] / total)
+    """Partition sizes for a whole-number ratio such as 7:1:2: exact floor
+    for train and val, remainder to test."""
+    if len(ratio) != 3 or any(r <= 0 or not float(r).is_integer() for r in ratio):
+        raise ConfigurationError(
+            f"ratio must be three positive whole numbers, got {ratio}")
+    total = int(sum(ratio))
+    n_train = (n * int(ratio[0])) // total
+    n_val = (n * int(ratio[1])) // total
     n_test = n - n_train - n_val
     if n_train == 0 or n_val == 0 or n_test == 0:
         raise ConfigurationError(

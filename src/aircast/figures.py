@@ -19,6 +19,7 @@ from .graph import SensorGraph, Station
 CANVAS_W = 800
 CANVAS_H = 600
 MARGIN = 60.0
+ARROW_SCALE = 16.0  # wind arrow length in px per unit of speed
 
 HEAT_LOW = (247, 251, 255)
 HEAT_HIGH = (103, 0, 13)
@@ -87,7 +88,7 @@ def _station_markers(stations, xy, colors) -> list[str]:
 
 
 def render_wind_heatmap(stations: list[Station], field: np.ndarray,
-                        wind: np.ndarray, path, arrow_scale: float = 16.0) -> str:
+                        wind: np.ndarray, path) -> str:
     """Station map: circles colored by concentration, arrows by wind.
 
     Arrow length is proportional to wind speed; stations with exactly
@@ -109,9 +110,9 @@ def render_wind_heatmap(stations: list[Station], field: np.ndarray,
         if speed == 0.0:
             continue
         # screen y grows downward, so northward wind points up
-        tip_x = x + u * arrow_scale
-        tip_y = y - v * arrow_scale
-        ux, uy = (tip_x - x) / (speed * arrow_scale), (tip_y - y) / (speed * arrow_scale)
+        tip_x = x + u * ARROW_SCALE
+        tip_y = y - v * ARROW_SCALE
+        ux, uy = (tip_x - x) / (speed * ARROW_SCALE), (tip_y - y) / (speed * ARROW_SCALE)
         px, py = -uy, ux
         head = 6.0
         parts.append(f'<line x1="{_fmt(x)}" y1="{_fmt(y)}" x2="{_fmt(tip_x)}" '
@@ -125,7 +126,7 @@ def render_wind_heatmap(stations: list[Station], field: np.ndarray,
     parts.extend(_station_markers(stations, xy, colors))
     parts.append(f'<text x="{_fmt(MARGIN)}" y="{_fmt(CANVAS_H - 20.0)}" '
                  f'font-family="sans-serif" font-size="12" fill="#222222">'
-                 f'max concentration {vmax:.4g}, arrow scale {arrow_scale:.4g} px per unit speed</text>')
+                 f'max concentration {vmax:.4g}, arrow scale {ARROW_SCALE:.4g} px per unit speed</text>')
     parts.append('</svg>')
     svg = "\n".join(parts) + "\n"
     with open(path, "w", encoding="utf-8") as fh:

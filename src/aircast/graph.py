@@ -8,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ContractError, DataError, DegenerateGraphError,
-                     DimensionError, NumericError, ParseError)
+from .errors import (ConfigurationError, ContractError, DataError,
+                     DegenerateGraphError, DimensionError, NumericError,
+                     ParseError)
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -41,9 +42,13 @@ def distance_adjacency(stations: list[Station],
     """Inverse-distance weights w_ij = 1 / d_ij, zero diagonal.
 
     The graph is complete unless max_distance_km is given, in which case
-    entries for pairs farther apart than the cutoff are zeroed. Coincident
-    stations have no finite weight and are rejected.
+    entries for pairs farther apart than the cutoff are zeroed; the cutoff
+    must be positive and finite. Coincident stations have no finite weight
+    and are rejected.
     """
+    if max_distance_km is not None and not 0 < max_distance_km < math.inf:
+        raise ConfigurationError(
+            f"max_distance_km must be positive and finite, got {max_distance_km}")
     n = len(stations)
     if n == 0:
         raise DataError("no stations")
@@ -119,7 +124,10 @@ def load_stations(path) -> list[Station]:
                 lat, lon = float(row[1]), float(row[2])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric coordinate") from None
-            stations.append(Station(sid, lat, lon))
+            try:
+                stations.append(Station(sid, lat, lon))
+            except ContractError as e:
+                raise ParseError(f"{path}:{lineno}: {e}") from None
     if not stations:
         raise DataError(f"{path}: no stations")
     return stations

@@ -43,7 +43,6 @@ class MetricsReport:
     rejected at construction.
     """
 
-    label: str
     mae: float
     rmse: float
     n_points: int
@@ -96,7 +95,7 @@ def sudden_change_mask(truth: np.ndarray, spec: SuddenChangeSpec) -> np.ndarray:
 
 
 def masked_metrics(pred: np.ndarray, truth: np.ndarray,
-                   mask: np.ndarray, label: str = "sudden-change") -> MetricsReport:
+                   mask: np.ndarray) -> MetricsReport:
     """Metrics restricted to flagged points."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -106,5 +105,4 @@ def masked_metrics(pred: np.ndarray, truth: np.ndarray,
     if not mask.any():
         raise DataError("no sudden-change points in the evaluated set")
     p, t = pred[mask], truth[mask]
-    return MetricsReport(label=label, mae=mae(p, t), rmse=rmse(p, t),
-                         n_points=int(p.size))
+    return MetricsReport(mae=mae(p, t), rmse=rmse(p, t), n_points=int(p.size))

@@ -252,8 +252,7 @@ class Model:
         return self.graph.n_stations
 
     def parameters(self) -> list[Parameter]:
-        return (self.gru.parameters() + self.head.parameters()
-                + self.decoder.parameters() + self.de.parameters())
+        return [p for group in self.parameter_groups().values() for p in group]
 
     def parameter_groups(self) -> dict[str, list[Parameter]]:
         return {
@@ -268,7 +267,7 @@ class Model:
         }
 
     def _stack_batch(self, samples: Sequence[WindowSample]
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     ) -> tuple[np.ndarray, np.ndarray]:
         cfg = self.config
         n = self.n_stations
         for s in samples:
@@ -287,8 +286,7 @@ class Model:
         # history (steps, batch*n, 1) for the per-node encoder; wind (batch, n, 2)
         x = np.concatenate([s.x_hist for s in samples], axis=1)
         wind_last = np.stack([s.p_hist[-1] for s in samples])
-        future = np.concatenate([s.x_future for s in samples], axis=1)
-        return x, wind_last, future
+        return x, wind_last
 
     def forward_batch(self, samples: Sequence[WindowSample], mode: str,
                       eps_rng: np.random.Generator | None = None,
@@ -301,7 +299,7 @@ class Model:
             raise ContractError("empty batch")
         if mode not in ("train", "infer"):
             raise ContractError(f"mode must be 'train' or 'infer', got {mode!r}")
-        x, wind_last, _ = self._stack_batch(samples)
+        x, wind_last = self._stack_batch(samples)
         mu, sigma = encode_history(x, self.gru, self.head)
         if mode == "train":
             if eps_rng is None:
@@ -318,18 +316,15 @@ class Model:
         traj = ode_solve(self.de, z0, grid, self.solver, mode)
         return decode_trajectory(traj, self.decoder)
 
-    def forward_sample(self, sample: WindowSample, mode: str = "infer",
-                       eps_rng: np.random.Generator | None = None) -> np.ndarray:
-        """De-normalized forecast (horizon, n, 1) in ug/m3 for one sample."""
+    def forward_sample(self, sample: WindowSample) -> np.ndarray:
+        """De-normalized inference forecast (horizon, n, 1) in ug/m3 for one
+        sample."""
         if self.stats is None:
             raise ConfigurationError(
                 "model has no normalization statistics; attach stats or load "
                 "a checkpoint")
-        if mode == "infer":
-            with no_grad():
-                pred = self.forward_batch([sample], mode)
-        else:
-            pred = self.forward_batch([sample], mode, eps_rng)
+        with no_grad():
+            pred = self.forward_batch([sample], "infer")
         return self.stats.denormalize(pred.data)
 
 

@@ -25,6 +25,10 @@ from .errors import ConfigurationError, ContractError, NumericError
 
 log = logging.getLogger(__name__)
 
+# Step-size controller of dopri5, SciPy RK45's values: the next step is
+# h * clamp(SAFETY * norm^(-1/5), FACTOR_MIN, FACTOR_MAX).
+SAFETY, FACTOR_MIN, FACTOR_MAX = 0.9, 0.2, 10.0
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -32,9 +36,6 @@ class SolverConfig:
     atol: float = 1e-5
     h_init: float = 0.1
     max_steps: int = 10_000
-    safety: float = 0.9
-    factor_min: float = 0.2
-    factor_max: float = 10.0
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
@@ -43,10 +44,6 @@ class SolverConfig:
             raise ConfigurationError("h_init must be positive")
         if self.max_steps < 1:
             raise ConfigurationError("max_steps must be at least 1")
-        if not (0 < self.safety <= 1):
-            raise ConfigurationError("safety must lie in (0, 1]")
-        if not (0 < self.factor_min < 1 < self.factor_max):
-            raise ConfigurationError("need factor_min < 1 < factor_max, both positive")
 
 
 class TimeGrid:
@@ -67,9 +64,6 @@ class TimeGrid:
         if horizon_steps < 1:
             raise ContractError("horizon must be at least one step")
         return cls(np.arange(horizon_steps + 1, dtype=np.float64))
-
-    def __len__(self):
-        return self.times.size
 
     def __repr__(self):
         return f"TimeGrid({self.times.tolist()})"
@@ -182,8 +176,8 @@ def dopri5_integrate_stats(f: Callable[[float | np.ndarray, Tensor], Tensor],
     step budget and accept/reject decision. Its error norm per attempt is
     the RMS over that system's components of
     err_c / (atol + rtol * max(|z_c|, |z5_c|)); a step is accepted when the
-    norm is at most 1 and the next step is h * clamp(safety * norm^(-1/5),
-    factor_min, factor_max). Steps are clipped only at the last grid time,
+    norm is at most 1 and the next step is h * clamp(SAFETY * norm^(-1/5),
+    FACTOR_MIN, FACTOR_MAX). Steps are clipped only at the last grid time,
     which each system lands on exactly. Interior grid times do not shorten
     a step: a grid time inside an accepted step (t_old, t_new] gets the
     4th-order continuous extension built from that step's stages (dense
@@ -274,9 +268,8 @@ def dopri5_integrate_stats(f: Callable[[float | np.ndarray, Tensor], Tensor],
                     t[b] = t_new
                 else:
                     stats.rejected += 1
-                factor = cfg.factor_max if norm == 0.0 \
-                    else cfg.safety * norm ** -0.2
-                h[b] = h_try[b] * min(cfg.factor_max, max(cfg.factor_min, factor))
+                factor = FACTOR_MAX if norm == 0.0 else SAFETY * norm ** -0.2
+                h[b] = h_try[b] * min(FACTOR_MAX, max(FACTOR_MIN, factor))
             if dense:
                 rows, idx, theta = (np.array(c) for c in zip(*dense))
                 w = _dense_weights(theta) * hv[rows][:, None]

@@ -96,17 +96,14 @@ def flow_scaled_laplacian(wind: Tensor, params: FlowNetParams) -> Tensor:
 class PowerBranchParams:
     """Residual graph-convolution stack using plain Laplacian powers.
 
-    Layer l maps H to act(sum_k Lap^k H theta[l][k]); the branch output is
+    Layer l maps H to tanh(sum_k Lap^k H theta[l][k]); the branch output is
     the residual sum of the input and every layer output. The powers are
     Lap^k themselves, not the Chebyshev recurrence T_k(Lap).
     """
 
     thetas: tuple  # thetas[layer][k] is a (latent, latent) Parameter
-    activation: str = "tanh"
 
     def __post_init__(self):
-        if self.activation not in ("tanh", "identity"):
-            raise ContractError(f"unknown activation {self.activation!r}")
         if not self.thetas or not all(len(layer) == len(self.thetas[0])
                                       for layer in self.thetas):
             raise ContractError("theta stack must be rectangular and non-empty")
@@ -117,8 +114,7 @@ class PowerBranchParams:
 
     @classmethod
     def create(cls, rng, latent_dim: int, order: int = 3, layers: int = 2,
-               prefix: str = "branch",
-               activation: str = "tanh") -> "PowerBranchParams":
+               prefix: str = "branch") -> "PowerBranchParams":
         if order < 1 or layers < 1:
             raise ContractError("order and layers must be at least 1")
         stack = tuple(
@@ -126,14 +122,14 @@ class PowerBranchParams:
                                 f"{prefix}.l{l}.theta{k}")
                   for k in range(order))
             for l in range(layers))
-        return cls(thetas=stack, activation=activation)
+        return cls(thetas=stack)
 
     def parameters(self) -> list[Parameter]:
         return [th for layer in self.thetas for th in layer]
 
 
 def cheb_branch(lap: Tensor, h0: Tensor, params: PowerBranchParams) -> Tensor:
-    """Residual sum h0 + sum_l act(sum_k Lap^k H theta_k).
+    """Residual sum h0 + sum_l tanh(sum_k Lap^k H theta_k).
 
     The state is (n, latent) or a minibatch (batch, n, latent). lap is one
     (n, n) Laplacian shared by every sample or a stack (batch, n, n) with one
@@ -152,7 +148,7 @@ def cheb_branch(lap: Tensor, h0: Tensor, params: PowerBranchParams) -> Tensor:
         for theta in layer[1:]:
             power = ad.matmul(lap, power)
             acc = acc + ad.matmul(power, theta)
-        h = ad.tanh(acc) if params.activation == "tanh" else acc
+        h = ad.tanh(acc)
         total = total + h
     return total
 
@@ -234,14 +230,8 @@ class DEFunction:
                 + self.adv_branch.parameters() + self.fusion.parameters()
                 + [self.diffusion_coeff_raw])
 
-    def set_flow_laplacian(self, lap: Tensor) -> None:
-        if lap.data.ndim not in (2, 3) or lap.shape[-1] != lap.shape[-2]:
-            raise DimensionError(
-                f"flow laplacian must be (n, n) or (batch, n, n), got {lap.shape}")
-        self.flow_lap = lap
-
     def set_flow_from_wind(self, wind: Tensor) -> None:
-        self.set_flow_laplacian(flow_scaled_laplacian(wind, self.flow))
+        self.flow_lap = flow_scaled_laplacian(wind, self.flow)
 
     def __call__(self, t: float | np.ndarray, z: Tensor) -> Tensor:
         if self.flow_lap is None:

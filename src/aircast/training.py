@@ -66,13 +66,15 @@ def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
     return cfg.learning_rate * cfg.decay_rate ** decays
 
 
+# Adam's default moments and denominator guard (Kingma & Ba, arXiv 1412.6980)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Bias-corrected Adam over named parameters; grads are zeroed per step."""
 
-    def __init__(self, params: Sequence[Parameter], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Sequence[Parameter]):
         self.params = list(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -81,7 +83,7 @@ class Adam:
         if lr < 0:
             raise ContractError("learning rate must be non-negative")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for i, p in enumerate(self.params):
             g = p.grad
             if not np.isfinite(g).all():
@@ -90,7 +92,7 @@ class Adam:
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
             m_hat = self.m[i] / (1.0 - b1 ** self.t)
             v_hat = self.v[i] / (1.0 - b2 ** self.t)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             p.zero_grad()
 
 

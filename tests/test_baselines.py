@@ -6,7 +6,7 @@ import pytest
 
 from aircast.baselines import (STEPS_PER_DAY, VarModel, fit_var, ha_forecast,
                                var_forecast)
-from aircast.errors import DataError, DimensionError, NumericError
+from aircast.errors import DataError, DimensionError
 
 
 def test_ha_linear_ramp_hand_case():
@@ -94,12 +94,6 @@ def test_var_constant_series_forecasts_constant():
     assert model.ridge_used
     forecast = var_forecast(model, series[-3:], 8)
     np.testing.assert_allclose(forecast, 42.0, atol=1e-3)
-
-
-def test_var_rank_deficiency_without_ridge_is_error():
-    series = np.full((50, 2), 42.0)
-    with pytest.raises(NumericError, match="rank deficient"):
-        fit_var(series, lags=3, ridge=None)
 
 
 def test_var_step_matches_declared_convention(rng):

@@ -555,6 +555,40 @@ def test_plot_rejects_non_finite_wind(tmp_path, capsys):
     assert not (tmp_path / "x.svg").exists()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "1e400"])
+def test_non_finite_float_flags_are_usage_errors(tmp_path, capsys, bad):
+    stations = write_stations(tmp_path / "stations.csv")
+    field = tmp_path / "field.csv"
+    field.write_text("station_id,value\ns0,80\ns1,45\ns2,60\ns3,110\n",
+                     encoding="utf-8")
+    readings = write_readings(tmp_path / "readings.csv", hours=6)
+    out = tmp_path / "out"
+    plot = ["plot", "--type", "diffusion-lines", "--stations", str(stations),
+            "--field", str(field), "--source", "s0", "--out", str(out)]
+    simulate = ["simulate", "--mode", "diffusion", "--graph", str(stations),
+                "--x0", str(field), "--out", str(out)]
+    ingest = ["ingest", "--stations", str(stations), "--readings",
+              str(readings), "--out", str(out)]
+    for argv, flag in ((plot, "--k"), (simulate + ["--t", "1"], "--k"),
+                       (simulate, "--t"), (ingest, "--max-distance-km")):
+        assert cli_dispatch(argv + [flag, bad]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {bad!r} is not a finite number" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("cutoff", ["0", "-5"])
+def test_ingest_rejects_non_positive_cutoff(tmp_path, capsys, cutoff):
+    stations = write_stations(tmp_path / "stations.csv")
+    readings = write_readings(tmp_path / "readings.csv", hours=6)
+    out = tmp_path / "d.npz"
+    assert cli_dispatch(["ingest", "--stations", str(stations), "--readings",
+                         str(readings), "--out", str(out),
+                         f"--max-distance-km={cutoff}"]) == 2
+    assert "max_distance_km must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def write_eval_pair(tmp_path):
     times = [(START + timedelta(hours=3 * k)).isoformat() for k in range(4)]
     truth_vals = [55.0, 80.0, 85.0, 40.0]
@@ -702,7 +736,10 @@ def test_load_config_error_taxonomy(tmp_path):
     ("model", "diffusion_coeff_init = inf",
      "bad value for 'diffusion_coeff_init' in [model]: 'inf'"),
     ("solver", "method = dopri5", "unknown key 'method' in [solver]"),
-], ids=["nan-clip_norm", "inf-rtol", "inf-diffusion_coeff_init", "method"])
+    ("solver", "safety = 0.9", "unknown key 'safety' in [solver]"),
+    ("solver", "factor_max = 5", "unknown key 'factor_max' in [solver]"),
+], ids=["nan-clip_norm", "inf-rtol", "inf-diffusion_coeff_init", "method",
+        "safety", "factor_max"])
 def test_load_config_rejects_bad_settings(tmp_path, section, line, message):
     ini = tmp_path / "c.ini"
     ini.write_text(f"[{section}]\n{line}\n", encoding="utf-8")

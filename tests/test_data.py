@@ -348,7 +348,7 @@ def test_make_windows_stride_and_errors():
         make_windows(series, 0, 3)
 
 
-@pytest.mark.parametrize("ratio", [(7, 1, 2), (3, 1, 6), (6.5, 1.5, 2.0)])
+@pytest.mark.parametrize("ratio", [(7, 1, 2), (3, 1, 6), (13, 3, 4)])
 @pytest.mark.parametrize("history, horizon", [(4, 3), (8, 24)])
 def test_forecast_origins_are_every_horizonth_test_window(ratio, history,
                                                           horizon):
@@ -381,6 +381,8 @@ def test_split_counts_exact():
         split_counts(5, (7, 1, 2))  # val partition would be empty
     with pytest.raises(ConfigurationError):
         split_counts(100, (7, 1))
+    with pytest.raises(ConfigurationError, match="whole numbers"):
+        split_counts(100, (6.5, 1.5, 2.0))
 
 
 def test_chronological_split_partitions_in_time_order(rng):

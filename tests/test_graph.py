@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from aircast.errors import (ContractError, DataError, DegenerateGraphError,
-                            ParseError)
+from aircast.errors import (ConfigurationError, ContractError, DataError,
+                            DegenerateGraphError, ParseError)
 from aircast.graph import (EARTH_RADIUS_KM, SensorGraph, Station,
                            distance_adjacency, haversine_km, load_stations,
                            normalized_laplacian, scaled_laplacian)
@@ -73,6 +73,14 @@ def test_distance_adjacency_cutoff_sparsifies():
     assert (cut == 0).sum() > (full == 0).sum()
 
 
+@pytest.mark.parametrize("cutoff", [math.nan, math.inf, 0.0, -5.0])
+def test_distance_adjacency_rejects_bad_cutoff(cutoff):
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        distance_adjacency(grid_stations(3), max_distance_km=cutoff)
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        SensorGraph.from_stations(grid_stations(3), cutoff)
+
+
 def test_coincident_stations_rejected():
     twins = [Station("a", 40.0, 116.0), Station("b", 40.0, 116.0)]
     with pytest.raises(DegenerateGraphError):
@@ -112,6 +120,12 @@ def test_load_stations_errors(tmp_path):
     empty.write_text("station_id,latitude,longitude\n")
     with pytest.raises(DataError):
         load_stations(empty)
+    for lat in ("nan", "inf", "1e400", "95"):
+        out_of_range = tmp_path / "r.csv"
+        out_of_range.write_text(f"station_id,latitude,longitude\na,1,2\nb,{lat},3\n")
+        with pytest.raises(ParseError) as info:
+            load_stations(out_of_range)
+        assert str(info.value).startswith(f"{out_of_range}:3: latitude ")
 
 
 def test_normalized_laplacian_two_node_exact():

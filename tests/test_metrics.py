@@ -55,10 +55,10 @@ def test_rmse_never_below_mae(truth, seed):
 
 def test_metrics_report_rejects_impossible_ordering():
     with pytest.raises(ContractError):
-        MetricsReport(label="x", mae=5.0, rmse=4.0, n_points=10)
+        MetricsReport(mae=5.0, rmse=4.0, n_points=10)
     with pytest.raises(ContractError):
-        MetricsReport(label="x", mae=1.0, rmse=2.0, n_points=0)
-    report = MetricsReport(label="x", mae=1.0, rmse=1.0, n_points=1)
+        MetricsReport(mae=1.0, rmse=2.0, n_points=0)
+    report = MetricsReport(mae=1.0, rmse=1.0, n_points=1)
     assert report.mae == 1.0
 
 

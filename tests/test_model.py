@@ -195,6 +195,24 @@ def test_model_parameter_groups_partition_everything():
     assert len(set(names)) == len(names)
 
 
+def test_model_parameter_order():
+    # Adam keeps its moment lists by position, so the order is part of the
+    # training trajectory
+    model = Model(toy_graph(4), tiny_config())
+    names = [p.name for p in model.parameters()]
+    assert names == [p.name for p in model.gru.parameters()
+                     + model.head.parameters() + model.decoder.parameters()
+                     + model.de.flow.parameters()
+                     + model.de.diff_branch.parameters()
+                     + model.de.adv_branch.parameters()
+                     + model.de.fusion.parameters()
+                     + [model.de.diffusion_coeff_raw]]
+    prefixes = [name.split(".")[0] for name in names]
+    assert list(dict.fromkeys(prefixes)) == [
+        "gru", "head", "decoder", "flow", "diff", "adv", "fusion", "physics"]
+    assert names[-1] == "physics.diffusion_coeff_raw"
+
+
 def test_model_same_seed_same_parameters():
     a = Model(toy_graph(3), tiny_config())
     b = Model(toy_graph(3), tiny_config())

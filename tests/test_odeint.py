@@ -39,8 +39,6 @@ def test_solver_config_validation():
         SolverConfig(h_init=0.0)
     with pytest.raises(ConfigurationError):
         SolverConfig(rtol=0.0)
-    with pytest.raises(ConfigurationError):
-        SolverConfig(factor_min=2.0)
 
 
 def test_dopri5_exponential_decay():

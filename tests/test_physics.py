@@ -133,7 +133,7 @@ def cheb_oracle(lap, h0, params):
         for theta in layer[1:]:
             power = lap @ power
             acc += power @ theta.data
-        h = np.tanh(acc) if params.activation == "tanh" else acc
+        h = np.tanh(acc)
         total = total + h
     return total
 
@@ -146,18 +146,6 @@ def test_cheb_branch_matches_numpy_oracle(rng):
     with no_grad():
         got = cheb_branch(Tensor(lap), Tensor(h0), params).data
     np.testing.assert_allclose(got, cheb_oracle(lap, h0, params), atol=1e-12)
-
-
-def test_cheb_branch_identity_activation(rng):
-    lap = np.diag([0.5, -0.5])
-    h0 = rng.standard_normal((2, 3))
-    params = PowerBranchParams.create(rng, 3, order=2, layers=1,
-                                     activation="identity")
-    with no_grad():
-        got = cheb_branch(Tensor(lap), Tensor(h0), params).data
-    expected = h0 + h0 @ params.thetas[0][0].data \
-        + (lap @ h0) @ params.thetas[0][1].data
-    np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_cheb_branch_order_one_uses_no_laplacian(rng):
@@ -182,8 +170,6 @@ def test_cheb_branch_shape_validation(rng):
 def test_cheb_params_validation(rng):
     with pytest.raises(ContractError):
         PowerBranchParams.create(rng, 3, order=0)
-    with pytest.raises(ContractError):
-        PowerBranchParams.create(rng, 3, activation="relu")
     ragged = (PowerBranchParams.create(rng, 2, order=2).thetas[0],
               PowerBranchParams.create(rng, 2, order=3).thetas[0])
     with pytest.raises(ContractError):
