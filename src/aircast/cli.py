@@ -30,7 +30,7 @@ from .data import (Dataset, chronological_split, forecast_origins,
 from .errors import (AircastError, ConfigurationError, DataError, ParseError,
                      UnknownStationError)
 from .figures import render_diffusion_lines, render_wind_heatmap
-from .graph import SensorGraph, load_stations
+from .graph import SensorGraph, load_stations, table_rows
 from .metrics import (HORIZON_STEPS, SuddenChangeSpec, mae, masked_metrics,
                       rmse, sudden_change_mask)
 from .model import (Model, ModelConfig, load_checkpoint, model_from_checkpoint,
@@ -126,25 +126,17 @@ def load_config(path=None) -> tuple[ModelConfig, TrainConfig, SolverConfig]:
 def _read_station_csv(path, station_ids, columns) -> np.ndarray:
     """(n, len(columns)) values from a CSV with header station_id,<columns>
     that covers every station exactly once."""
-    header_want = ["station_id", *columns]
     values = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != header_want:
-            raise ParseError(f"{path}: expected header {','.join(header_want)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header_want):
-                raise ParseError(f"{path}:{lineno}: expected {len(header_want)} fields")
-            sid = row[0].strip()
-            if sid not in station_ids:
-                raise UnknownStationError(f"{path}:{lineno}: unknown station {sid!r}")
-            if sid in values:
-                raise ParseError(f"{path}:{lineno}: duplicate station {sid!r}")
-            values[sid] = [parse_finite(text, path, lineno, column)
-                           for text, column in zip(row[1:], columns)]
+    rows = table_rows(path, ["station_id", *columns])
+    next(rows)  # the header
+    for lineno, row in rows:
+        sid = row[0].strip()
+        if sid not in station_ids:
+            raise UnknownStationError(f"{path}:{lineno}: unknown station {sid!r}")
+        if sid in values:
+            raise ParseError(f"{path}:{lineno}: duplicate station {sid!r}")
+        values[sid] = [parse_finite(text, path, lineno, column)
+                       for text, column in zip(row[1:], columns)]
     missing = [sid for sid in station_ids if sid not in values]
     if missing:
         raise DataError(f"{path}: missing stations {missing}")
@@ -158,26 +150,16 @@ def _read_forecast_csv(path) -> dict:
     is commonly pm25_pred for forecasts and pm25 for ground truth.
     """
     out = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if (header is None or len(header) != 3
-                or [h.strip() for h in header[:2]] != ["timestamp", "station_id"]):
-            raise ParseError(
-                f"{path}: expected header timestamp,station_id,<value>")
-        column = header[2].strip()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields")
-            where = f"{path}:{lineno}"
-            ts = _parse_timestamp(row[0].strip(), where)
-            sid = row[1].strip()
-            key = (ts, sid)
-            if key in out:
-                raise ParseError(f"{where}: duplicate point {sid} at {row[0]}")
-            out[key] = parse_finite(row[2], path, lineno, column)
+    rows = table_rows(path, ["timestamp", "station_id", None])
+    column = next(rows)[1][2]  # the header's value column
+    for lineno, row in rows:
+        where = f"{path}:{lineno}"
+        ts = _parse_timestamp(row[0].strip(), where)
+        sid = row[1].strip()
+        key = (ts, sid)
+        if key in out:
+            raise ParseError(f"{where}: duplicate point {sid} at {row[0]}")
+        out[key] = parse_finite(row[2], path, lineno, column)
     if not out:
         raise DataError(f"{path}: no rows")
     return out
@@ -371,17 +353,10 @@ def cmd_simulate(args) -> int:
 
 
 def _read_matrix_csv(path, n) -> np.ndarray:
-    """Headerless n-by-n CSV of finite numbers; blank lines are skipped."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) != n:
-                raise ParseError(f"{path}:{lineno}: expected {n} fields, "
-                                 f"got {len(row)}")
-            rows.append([parse_finite(text, path, lineno, f"column {j}")
-                         for j, text in enumerate(row, start=1)])
+    """Headerless n-by-n CSV of finite numbers."""
+    rows = [[parse_finite(text, path, lineno, f"column {j}")
+             for j, text in enumerate(row, start=1)]
+            for lineno, row in table_rows(path, fields=n)]
     if len(rows) != n:
         raise DataError(f"{path}: expected a {n}x{n} matrix, got {len(rows)} rows")
     return np.array(rows)

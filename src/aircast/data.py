@@ -8,7 +8,6 @@ statistics. Processed series persist as .npz containers with JSON metadata.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -19,9 +18,9 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (ConfigurationError, DataError, FormatError, ParseError,
-                     UnknownStationError)
-from .graph import Station
+from .errors import (ConfigurationError, ContractError, DataError, FormatError,
+                     ParseError, UnknownStationError)
+from .graph import Station, check_cutoff, table_rows
 
 log = logging.getLogger(__name__)
 
@@ -150,36 +149,28 @@ def parse_readings(path, station_ids) -> HourlySeries:
     hour_of: dict[str, int] = {}   # timestamp text -> hours since EPOCH
     seen: dict[int, int] = {}      # hour * n + column -> line number
     pm25, wind_speed, wind_direction = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != READINGS_HEADER:
-            raise ParseError(f"{path}: expected header {','.join(READINGS_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ParseError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-            sid = row[1].strip()
-            col = index.get(sid)
-            if col is None:
-                raise UnknownStationError(
-                    f"{path}:{lineno}: unknown station {sid!r}")
-            hour = hour_of.get(row[0])
-            if hour is None:
-                ts = _parse_timestamp(row[0].strip(), f"{path}:{lineno}")
-                hour = hour_of[row[0]] = (ts - EPOCH) // HOUR
-            pm25.append(parse_finite(row[2], path, lineno, "pm25", gap=True))
-            wind_speed.append(
-                parse_finite(row[3], path, lineno, "wind_speed", gap=True))
-            wind_direction.append(
-                parse_finite(row[4], path, lineno, "wind_direction", gap=True))
-            key = hour * n + col
-            first = seen.setdefault(key, lineno)
-            if first != lineno:
-                raise ParseError(
-                    f"{path}:{lineno}: duplicate reading for {sid} at "
-                    f"{EPOCH + hour * HOUR} (first seen on line {first})")
+    rows = table_rows(path, READINGS_HEADER)
+    next(rows)  # the header
+    for lineno, row in rows:
+        sid = row[1].strip()
+        col = index.get(sid)
+        if col is None:
+            raise UnknownStationError(f"{path}:{lineno}: unknown station {sid!r}")
+        hour = hour_of.get(row[0])
+        if hour is None:
+            ts = _parse_timestamp(row[0].strip(), f"{path}:{lineno}")
+            hour = hour_of[row[0]] = (ts - EPOCH) // HOUR
+        pm25.append(parse_finite(row[2], path, lineno, "pm25", gap=True))
+        wind_speed.append(
+            parse_finite(row[3], path, lineno, "wind_speed", gap=True))
+        wind_direction.append(
+            parse_finite(row[4], path, lineno, "wind_direction", gap=True))
+        key = hour * n + col
+        first = seen.setdefault(key, lineno)
+        if first != lineno:
+            raise ParseError(
+                f"{path}:{lineno}: duplicate reading for {sid} at "
+                f"{EPOCH + hour * HOUR} (first seen on line {first})")
     if not seen:
         raise DataError(f"{path}: no readings")
     keys = np.fromiter(seen, dtype=np.int64, count=len(seen))
@@ -467,9 +458,14 @@ def load_dataset(path) -> Dataset:
             wind_v = archive["wind_v"]
         except KeyError as e:
             raise FormatError(f"{path}: missing array {e}") from None
-    stations = [Station(sid, lat, lon) for sid, lat, lon
-                in zip(meta["station_ids"], meta["latitudes"], meta["longitudes"])]
+    cutoff = meta.get("max_distance_km")
+    try:
+        stations = [Station(sid, lat, lon) for sid, lat, lon in zip(
+            meta["station_ids"], meta["latitudes"], meta["longitudes"])]
+        check_cutoff(cutoff)
+    except (ContractError, ConfigurationError) as e:
+        raise FormatError(f"{path}: {e}") from None
     series = Series3h(start=EPOCH + timedelta(seconds=meta["start_epoch"]),
                       station_ids=list(meta["station_ids"]),
                       pm25=pm25, wind_u=wind_u, wind_v=wind_v)
-    return Dataset(series, stations, meta.get("max_distance_km"))
+    return Dataset(series, stations, cutoff)

@@ -37,6 +37,13 @@ def haversine_km(a: Station, b: Station) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
 
 
+def check_cutoff(max_distance_km: float | None) -> None:
+    """A graph distance cutoff is None (no cutoff) or positive and finite."""
+    if max_distance_km is not None and not 0 < max_distance_km < math.inf:
+        raise ConfigurationError(
+            f"max_distance_km must be positive and finite, got {max_distance_km}")
+
+
 def distance_adjacency(stations: list[Station],
                        max_distance_km: float | None = None) -> np.ndarray:
     """Inverse-distance weights w_ij = 1 / d_ij, zero diagonal.
@@ -46,9 +53,7 @@ def distance_adjacency(stations: list[Station],
     must be positive and finite. Coincident stations have no finite weight
     and are rejected.
     """
-    if max_distance_km is not None and not 0 < max_distance_km < math.inf:
-        raise ConfigurationError(
-            f"max_distance_km must be positive and finite, got {max_distance_km}")
+    check_cutoff(max_distance_km)
     n = len(stations)
     if n == 0:
         raise DataError("no stations")
@@ -99,35 +104,54 @@ class SensorGraph:
         return cls(tuple(stations), distance_adjacency(stations, max_distance_km))
 
 
+def table_rows(path, header: list | None = None, fields: int | None = None):
+    """Stream a CSV table as (line number, fields) pairs, one line at a time.
+
+    With ``header``, the first line must match it name for name after
+    stripping whitespace (a None name matches any name) and comes first, as
+    (1, the stripped names); every later row has len(header) fields. Without
+    it the table is headerless and every row has ``fields`` fields. Blank
+    lines are skipped; a row of another width is a ParseError
+    "path:line: expected N fields, got M".
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if header is not None:
+            names = [h.strip() for h in next(reader, [])]
+            if len(names) != len(header) or any(
+                    want not in (None, got) for want, got in zip(header, names)):
+                expected = ",".join(h or "<value>" for h in header)
+                raise ParseError(f"{path}: expected header {expected}")
+            yield 1, names
+            fields = len(header)
+        for lineno, row in enumerate(reader, start=1 if header is None else 2):
+            if len(row) != fields:
+                if not row:
+                    continue
+                raise ParseError(
+                    f"{path}:{lineno}: expected {fields} fields, got {len(row)}")
+            yield lineno, row
+
+
 def load_stations(path) -> list[Station]:
     """Read a station table CSV with header station_id,latitude,longitude."""
     stations = []
     seen = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != \
-                ["station_id", "latitude", "longitude"]:
-            raise ParseError(f"{path}: expected header station_id,latitude,longitude")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            sid = row[0].strip()
-            if not sid:
-                raise ParseError(f"{path}:{lineno}: empty station_id")
-            if sid in seen:
-                raise DataError(f"{path}:{lineno}: duplicate station id {sid!r}")
-            seen.add(sid)
-            try:
-                lat, lon = float(row[1]), float(row[2])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric coordinate") from None
-            try:
-                stations.append(Station(sid, lat, lon))
-            except ContractError as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from None
+    rows = table_rows(path, ["station_id", "latitude", "longitude"])
+    next(rows)  # the header
+    for lineno, row in rows:
+        sid = row[0].strip()
+        if not sid:
+            raise ParseError(f"{path}:{lineno}: empty station_id")
+        if sid in seen:
+            raise DataError(f"{path}:{lineno}: duplicate station id {sid!r}")
+        seen.add(sid)
+        try:
+            stations.append(Station(sid, float(row[1]), float(row[2])))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric coordinate") from None
+        except ContractError as e:
+            raise ParseError(f"{path}:{lineno}: {e}") from None
     if not stations:
         raise DataError(f"{path}: no stations")
     return stations
@@ -135,17 +159,10 @@ def load_stations(path) -> list[Station]:
 
 @dataclass(frozen=True)
 class ScaledLaplacian:
-    """Rescaled normalized Laplacian with its lambda_max and source tag."""
+    """Rescaled normalized Laplacian of the distance graph with its lambda_max."""
 
     matrix: np.ndarray
     lambda_max: float
-    source: str  # "distance" or "flow_field"
-
-    def __post_init__(self):
-        if self.source not in ("distance", "flow_field"):
-            raise ContractError(f"unknown laplacian source {self.source!r}")
-        if self.lambda_max <= 0:
-            raise ContractError("lambda_max must be positive")
 
 
 def normalized_laplacian(w: np.ndarray) -> np.ndarray:
@@ -167,24 +184,20 @@ def normalized_laplacian(w: np.ndarray) -> np.ndarray:
     return np.eye(w.shape[0]) - inv_sqrt[:, None] * w * inv_sqrt[None, :]
 
 
-def scaled_laplacian(w: np.ndarray, source: str = "distance") -> ScaledLaplacian:
-    """L = 2*Lbar/lambda_max - I for Lbar = I - D^(-1/2) W D^(-1/2).
+def scaled_laplacian(w: np.ndarray) -> ScaledLaplacian:
+    """L = 2*Lbar/lambda_max - I for Lbar = I - D^(-1/2) W D^(-1/2) of the
+    symmetric distance graph.
 
-    lambda_max is the top eigenvalue of Lbar for the symmetric distance graph
-    (a dense symmetric eigensolve, capped at 2, the upper bound for
-    normalized Laplacians, so roundoff cannot push it past); the
-    antisymmetric flow-field variant fixes lambda_max = 2.
+    lambda_max is the top eigenvalue of Lbar, from a dense symmetric
+    eigensolve capped at 2 (the upper bound for normalized Laplacians, so
+    roundoff cannot push it past). The antisymmetric flow-field graph is
+    scaled by physics.flow_scaled_laplacian instead.
     """
     lbar = normalized_laplacian(w)
-    if source == "distance":
-        if not np.allclose(lbar, lbar.T, atol=1e-12):
-            raise ContractError("distance adjacency is not symmetric")
-        lam = min(float(np.linalg.eigvalsh(lbar)[-1]), 2.0)
-        if lam <= 0:
-            raise NumericError(f"non-positive lambda_max {lam}")
-    elif source == "flow_field":
-        lam = 2.0
-    else:
-        raise ContractError(f"unknown laplacian source {source!r}")
+    if not np.allclose(lbar, lbar.T, atol=1e-12):
+        raise ContractError("distance adjacency is not symmetric")
+    lam = min(float(np.linalg.eigvalsh(lbar)[-1]), 2.0)
+    if lam <= 0:
+        raise NumericError(f"non-positive lambda_max {lam}")
     matrix = 2.0 * lbar / lam - np.eye(w.shape[0])
-    return ScaledLaplacian(matrix=matrix, lambda_max=lam, source=source)
+    return ScaledLaplacian(matrix=matrix, lambda_max=lam)

@@ -221,7 +221,7 @@ class Model:
         self.config = config
         self.stats = stats
         self.solver = solver or SolverConfig()
-        self.dist_lap: ScaledLaplacian = scaled_laplacian(graph.weights, "distance")
+        self.dist_lap: ScaledLaplacian = scaled_laplacian(graph.weights)
         rng = np.random.default_rng(config.seed)
         self.gru = GRUParams.create(rng, config.gru_hidden)
         self.head = LatentHeadParams.create(rng, config.gru_hidden,

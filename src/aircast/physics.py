@@ -203,8 +203,6 @@ class DEFunction:
                  gate_mode: str = "learned"):
         if gate_mode not in GATE_MODES:
             raise ConfigurationError(f"gate_mode must be one of {GATE_MODES}")
-        if dist_lap.source != "distance":
-            raise ContractError("DEFunction needs the distance-graph laplacian")
         self.dist_lap = dist_lap
         self.flow = flow
         self.diff_branch = diff_branch

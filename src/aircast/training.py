@@ -110,26 +110,6 @@ def clip_gradients(params: Sequence[Parameter], max_norm: float) -> float:
     return norm
 
 
-@dataclass(frozen=True)
-class StopDecision:
-    stop: bool
-    best_epoch: int | None = None
-
-
-def early_stopping(val_history: Sequence[float], patience: int) -> StopDecision:
-    """Stop once the best value has not strictly improved for `patience`
-    consecutive epochs; best_epoch is the 0-based index of the minimum."""
-    if patience < 1:
-        raise ContractError("patience must be at least 1")
-    if not len(val_history):
-        return StopDecision(stop=False)
-    best_idx = int(np.argmin(val_history))  # first occurrence on ties
-    streak = len(val_history) - 1 - best_idx
-    if streak >= patience:
-        return StopDecision(stop=True, best_epoch=best_idx)
-    return StopDecision(stop=False)
-
-
 def _batches(items: list, size: int):
     for lo in range(0, len(items), size):
         yield items[lo:lo + size]
@@ -153,8 +133,10 @@ def train_loop(model: Model, split: DatasetSplit, cfg: TrainConfig,
     """Train to best-validation parameters.
 
     Returns the checkpoint of the best epoch (the model is left holding those
-    parameters) and the per-epoch log rows. Epochs are numbered from 1 in the
-    log; a fixed seed reproduces the run bitwise.
+    parameters) and the per-epoch log rows. Training stops once
+    ``cfg.patience`` epochs pass without a strictly lower validation MAE.
+    Epochs are numbered from 1 in the log; a fixed seed reproduces the run
+    bitwise.
     """
     if not split.train or not split.val:
         raise ConfigurationError("train and val partitions must be non-empty")
@@ -164,8 +146,8 @@ def train_loop(model: Model, split: DatasetSplit, cfg: TrainConfig,
     shuffle_rng, eps_rng = root.spawn(2)
     opt = Adam(model.parameters())
     rows: list[dict] = []
-    val_history: list[float] = []
     best_val = np.inf
+    best_epoch = 0
     best_arrays: dict | None = None
     writer = None
     log_file = None
@@ -202,11 +184,10 @@ def train_loop(model: Model, split: DatasetSplit, cfg: TrainConfig,
             if writer is not None:
                 writer.writerow([epoch, repr(lr), repr(train_mae), repr(val_mae)])
                 log_file.flush()
-            if val_mae < best_val:
-                best_val = val_mae
+            if val_mae < best_val:  # strictly: a tie keeps the earlier epoch
+                best_val, best_epoch = val_mae, epoch
                 best_arrays = {p.name: p.data.copy() for p in model.parameters()}
-            val_history.append(val_mae)
-            if early_stopping(val_history, cfg.patience).stop:
+            if epoch - best_epoch >= cfg.patience:
                 break
     finally:
         if log_file is not None:

@@ -143,13 +143,13 @@ def test_c4_scaled_laplacian_spectrum_bounds():
         if i % 5 == 0 and n > 2:
             w[0, :] = 0.0
             w[:, 0] = 0.0
-        eigs = np.linalg.eigvalsh(scaled_laplacian(w, "distance").matrix)
+        eigs = np.linalg.eigvalsh(scaled_laplacian(w).matrix)
         lo = min(lo, eigs.min())
         hi = max(hi, eigs.max())
     assert lo >= -1.0 - 1e-9
     assert hi <= 1.0 + 1e-9
 
-    pair = scaled_laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]), "distance")
+    pair = scaled_laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]))
     np.testing.assert_array_equal(pair.matrix,
                                   np.array([[0.0, -1.0], [-1.0, 0.0]]))
 

@@ -13,10 +13,13 @@ import pytest
 
 from aircast.autodiff import no_grad
 from aircast.baselines import fit_var, ha_forecast, var_forecast
-from aircast.cli import (SEED_ENV, build_parser, cli_dispatch, load_config)
-from aircast.data import NormStats, load_dataset, make_windows, split_counts
-from aircast.errors import ConfigurationError
-from aircast.graph import SensorGraph
+from aircast.cli import (SEED_ENV, _read_forecast_csv, _read_matrix_csv,
+                         _read_station_csv, build_parser, cli_dispatch,
+                         load_config)
+from aircast.data import (NormStats, load_dataset, make_windows, parse_readings,
+                          split_counts)
+from aircast.errors import ConfigurationError, ParseError
+from aircast.graph import SensorGraph, load_stations
 from aircast.metrics import SuddenChangeSpec, mae, rmse
 from aircast.model import (Model, ModelConfig, load_checkpoint, make_checkpoint,
                            model_from_checkpoint, save_checkpoint)
@@ -587,6 +590,40 @@ def test_ingest_rejects_non_positive_cutoff(tmp_path, capsys, cutoff):
                          f"--max-distance-km={cutoff}"]) == 2
     assert "max_distance_km must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+# every CSV reader: (read, header or None for headerless, one good row)
+TABLE_READERS = {
+    "stations": (load_stations, "station_id,latitude,longitude",
+                 "a,39.9,116.3"),
+    "readings": (lambda path: parse_readings(path, ["a"]),
+                 "timestamp,station_id,pm25,wind_speed,wind_direction",
+                 "2017-01-01T00:00:00,a,1,2,3"),
+    "station-values": (lambda path: _read_station_csv(path, ["a"], ["u", "v"]),
+                       "station_id,u,v", "a,1,2"),
+    "forecast": (_read_forecast_csv, "timestamp,station_id,pm25_pred",
+                 "2017-01-01T00:00:00,a,1.0"),
+    "velocities": (lambda path: _read_matrix_csv(path, 2), None, "0,1"),
+}
+
+
+@pytest.mark.parametrize("reader", TABLE_READERS)
+def test_csv_readers_share_table_rules(tmp_path, reader):
+    read, header, row = TABLE_READERS[reader]
+    path = tmp_path / "table.csv"
+    width = row.count(",") + 1
+    lines = [row, "", row.rsplit(",", 1)[0]]  # a blank line, then a short row
+    if header is not None:
+        path.write_text(header.upper() + "\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: "
+                                             "expected header "):
+            read(path)
+        lines.insert(0, header.replace(",", " , "))  # names are stripped
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        read(path)
+    assert str(info.value) == (f"{path}:{len(lines)}: expected {width} "
+                               f"fields, got {width - 1}")
 
 
 def write_eval_pair(tmp_path):

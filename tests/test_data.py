@@ -495,8 +495,15 @@ def test_load_dataset_error_taxonomy(tmp_path):
     (lambda meta: {**meta, "start_epoch": "0"}, "'start_epoch': '0'"),
     (lambda meta: {**meta, "max_distance_km": "250"}, "'max_distance_km'"),
     (lambda meta: [meta], "not a JSON object"),
+    (lambda meta: {**meta, "latitudes": [39.5, 95, 40.1]},
+     "latitude 95 outside [-90, 90]"),
+    (lambda meta: {**meta, "max_distance_km": float("nan")},
+     "max_distance_km must be positive and finite, got nan"),
+    (lambda meta: {**meta, "max_distance_km": -1},
+     "max_distance_km must be positive and finite, got -1"),
 ], ids=["no-station_ids", "str-in-latitudes", "str-start_epoch",
-        "str-max_distance_km", "list-metadata"])
+        "str-max_distance_km", "list-metadata", "latitude-95", "nan-cutoff",
+        "negative-cutoff"])
 def test_load_dataset_rejects_malformed_metadata(tmp_path, edit, field):
     good = tmp_path / "d.npz"
     save_dataset(Dataset(synthetic_series(12, 3, seed=2), grid_stations(3)),

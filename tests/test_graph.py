@@ -136,7 +136,7 @@ def test_normalized_laplacian_two_node_exact():
 
 def test_scaled_laplacian_two_node_exact():
     w = np.array([[0.0, 1.0], [1.0, 0.0]])
-    scaled = scaled_laplacian(w, "distance")
+    scaled = scaled_laplacian(w)
     # lambda_max = 2 here, so the rescaled matrix is exactly Lbar - I
     assert (scaled.matrix == np.array([[0.0, -1.0], [-1.0, 0.0]])).all()
     assert scaled.lambda_max == pytest.approx(2.0, abs=1e-9)
@@ -152,14 +152,14 @@ def test_scaled_laplacian_realistic_layouts_top_eigenvalue_one():
         layouts = (grid_stations(n),
                    [Station(f"r{i}", a, o) for i, (a, o) in enumerate(zip(lat, lon))])
         for stations in layouts:
-            scaled = scaled_laplacian(distance_adjacency(stations), "distance")
+            scaled = scaled_laplacian(distance_adjacency(stations))
             top = np.linalg.eigvalsh(scaled.matrix)[-1]
             assert abs(top - 1.0) <= 1e-10, (n, top)
 
 
 def test_scaled_laplacian_rejects_asymmetric_distance_graph():
     with pytest.raises(ContractError):
-        scaled_laplacian(np.array([[0.0, 1.0], [0.5, 0.0]]), "distance")
+        scaled_laplacian(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
 def test_scaled_laplacian_spectrum_bounded(rng):
@@ -167,7 +167,7 @@ def test_scaled_laplacian_spectrum_bounded(rng):
     for _ in range(100):
         n = int(rng.integers(2, 11))
         w = random_symmetric_nonneg(rng, n)
-        scaled = scaled_laplacian(w, "distance")
+        scaled = scaled_laplacian(w)
         eig = np.linalg.eigvalsh(scaled.matrix)
         assert eig.min() >= -1.0 - 1e-9
         assert eig.max() <= 1.0 + 1e-9
@@ -188,16 +188,7 @@ def test_normalized_laplacian_scale_invariant_bitwise():
     assert (a == b).all()
 
 
-def test_flow_source_uses_fixed_lambda():
-    rng = np.random.default_rng(5)
-    w = random_symmetric_nonneg(rng, 4)
-    scaled = scaled_laplacian(w, "flow_field")
-    assert scaled.lambda_max == 2.0
-    np.testing.assert_allclose(scaled.matrix,
-                               normalized_laplacian(w) - np.eye(4), atol=1e-15)
-
-
 def test_scaled_laplacian_distance_symmetric(rng):
     w = random_symmetric_nonneg(rng, 6)
-    scaled = scaled_laplacian(w, "distance")
+    scaled = scaled_laplacian(w)
     np.testing.assert_allclose(scaled.matrix, scaled.matrix.T, atol=1e-12)

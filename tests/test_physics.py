@@ -72,8 +72,8 @@ def test_flow_scaled_laplacian_matches_numpy_path(rng):
     with no_grad():
         p = flow_potentials(wind, params).data[:, 0]
         got = flow_scaled_laplacian(wind, params).data
-    expected = graph.scaled_laplacian(p[:, None] - p[None, :],
-                                      source="flow_field").matrix
+    # the lambda_max = 2 rescaling 2 * Lbar / 2 - I is exactly Lbar - I
+    expected = graph.normalized_laplacian(p[:, None] - p[None, :]) - np.eye(5)
     np.testing.assert_array_equal(got, expected)
 
 
@@ -191,7 +191,7 @@ def make_de_function(rng, n=4, latent=3, gate_mode="learned", order=2, layers=1)
     w = rng.uniform(0.1, 1.0, size=(n, n))
     w = (w + w.T) / 2.0
     np.fill_diagonal(w, 0.0)
-    dist_lap = graph.scaled_laplacian(w, source="distance")
+    dist_lap = graph.scaled_laplacian(w)
     func = DEFunction(
         dist_lap=dist_lap,
         flow=FlowNetParams.create(rng, hidden=4),
@@ -223,20 +223,6 @@ def test_de_function_requires_flow_state(rng):
     func.flow_lap = None
     with pytest.raises(ConfigurationError):
         func(0.0, Tensor(np.zeros((4, 3))))
-
-
-def test_de_function_rejects_distance_mismatch(rng):
-    w = np.array([[0.0, 1.0], [1.0, 0.0]])
-    flow_lap = graph.scaled_laplacian(w, source="flow_field")
-    with pytest.raises(ContractError):
-        make_de_function(rng).__class__(
-            dist_lap=flow_lap,
-            flow=FlowNetParams.create(rng, hidden=4),
-            diff_branch=PowerBranchParams.create(rng, 3),
-            adv_branch=PowerBranchParams.create(rng, 3),
-            fusion=FusionParams.create(rng, 3),
-            diffusion_coeff_raw=Parameter(np.zeros((1, 1)), "k"),
-        )
 
 
 def test_de_function_gate_mode_validation(rng):

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from aircast import autodiff as ad
+from aircast import training
 from aircast.autodiff import Parameter, Tensor, backward, clear_tape
 from aircast.data import chronological_split, make_windows
 from aircast.errors import ConfigurationError, ContractError, NumericError
 from aircast.model import Model, ModelConfig
-from aircast.training import (Adam, StopDecision, TrainConfig, _epoch_eval,
-                              clip_gradients, early_stopping, lr_schedule,
-                              mae_loss, train_loop)
+from aircast.training import (Adam, TrainConfig, _epoch_eval, clip_gradients,
+                              lr_schedule, mae_loss, train_loop)
 
 from conftest import synthetic_series, toy_graph
 
@@ -131,18 +131,28 @@ def test_clip_gradients_no_change_below_threshold():
     np.testing.assert_array_equal(a.grad, before)
 
 
-def test_early_stopping_rules():
-    assert early_stopping([], 3) == StopDecision(stop=False)
-    assert early_stopping([5.0, 4.0, 3.0], 2).stop is False
-    assert early_stopping([5.0, 3.0, 3.5, 3.4], 2) == \
-        StopDecision(stop=True, best_epoch=1)
-    # still within patience
-    assert early_stopping([5.0, 3.0, 3.5], 2).stop is False
-    # ties keep the first occurrence as best
-    assert early_stopping([3.0, 3.0, 3.0], 2) == \
-        StopDecision(stop=True, best_epoch=0)
-    with pytest.raises(ContractError):
-        early_stopping([1.0], 0)
+def test_early_stopping_rules(monkeypatch):
+    # (scripted validation MAEs, patience, epochs run, restored epoch)
+    cases = [([5.0, 3.0, 3.5, 3.4], 2, 4, 2),
+             ([3.0, 3.0, 3.0], 2, 3, 1)]    # ties keep the first epoch
+    for val_maes, patience, epochs, best_epoch in cases:
+        snapshots = []  # each epoch's parameters, taken at its validation
+
+        def scripted_eval(model, samples, batch_size):
+            snapshots.append({p.name: p.data.copy() for p in model.parameters()})
+            return val_maes[len(snapshots) - 1]
+
+        monkeypatch.setattr(training, "_epoch_eval", scripted_eval)
+        model = tiny_model()
+        cfg = TrainConfig(batch_size=8, learning_rate=1e-2, max_epochs=10,
+                          patience=patience, seed=0)
+        ckpt, rows = train_loop(model, tiny_split(), cfg)
+        assert [r["val_mae"] for r in rows] == val_maes[:epochs]
+        best = snapshots[best_epoch - 1]
+        assert any((best[k] != snapshots[-1][k]).any() for k in best)
+        for p in model.parameters():
+            np.testing.assert_array_equal(p.data, best[p.name])
+            np.testing.assert_array_equal(ckpt.arrays[p.name], best[p.name])
 
 
 def tiny_model(seed=7, **overrides):
