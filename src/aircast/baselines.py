@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import STEP_HOURS
 from .errors import DataError, DimensionError
 
-STEPS_PER_DAY = 8
+STEPS_PER_DAY = 24 // STEP_HOURS
 RIDGE = 1e-6  # penalty of a rank-deficient VAR fit
 
 
@@ -110,11 +111,7 @@ def var_forecast(model: VarModel, recent: np.ndarray, horizon: int) -> np.ndarra
     """Recursive multi-step forecast; predictions feed back as inputs."""
     if horizon < 1:
         raise DataError("horizon must cover at least one step")
-    recent = np.asarray(recent, dtype=np.float64)
-    if recent.shape != (model.lags, model.intercept.size):
-        raise DimensionError(
-            f"expected {(model.lags, model.intercept.size)}, got {recent.shape}")
-    window = recent.copy()
+    window = np.array(recent, dtype=np.float64)  # VarModel.step checks its shape
     out = np.zeros((horizon, model.intercept.size))
     for h in range(horizon):
         nxt = model.step(window)

@@ -17,22 +17,21 @@ import math
 import os
 import sys
 from dataclasses import fields as dc_fields, replace
-from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import no_grad
 from .baselines import fit_var, ha_forecast, var_forecast
-from .data import (Dataset, chronological_split, forecast_origins,
+from .data import (STEP, Dataset, chronological_split, forecast_origins,
                    impute_missing, load_dataset, make_windows, parse_finite,
                    parse_readings, resample_3h, save_dataset, _parse_timestamp)
 from .errors import (AircastError, ConfigurationError, DataError, ParseError,
                      UnknownStationError)
 from .figures import render_diffusion_lines, render_wind_heatmap
 from .graph import SensorGraph, load_stations, table_rows
-from .metrics import (HORIZON_STEPS, SuddenChangeSpec, mae, masked_metrics,
-                      rmse, sudden_change_mask)
+from .metrics import (CITY_LEVELS, HORIZON_STEPS, mae, masked_metrics, rmse,
+                      sudden_change_mask)
 from .model import (Model, ModelConfig, load_checkpoint, model_from_checkpoint,
                     save_checkpoint)
 from .odeint import SolverConfig
@@ -165,13 +164,6 @@ def _read_forecast_csv(path) -> dict:
     return out
 
 
-def _write_rows_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _csv_field(text: str) -> str:
     """``text`` as csv.writer writes it inside a row (quoted if needed)."""
     buf = io.StringIO()
@@ -187,22 +179,36 @@ def _forecast_keys(origins, station_ids, history_steps, horizon) -> list:
     keys = []
     for w in origins:
         for step in range(horizon):
-            ts = w.start_time + timedelta(hours=3 * (history_steps + step))
+            ts = w.start_time + (history_steps + step) * STEP
             prefix = ts.isoformat() + ","
             keys.extend([f"{prefix}{sid}," for sid in ids])
     return keys
 
 
-def _write_forecast_csv(path, column, keys, values) -> None:
-    """Header timestamp,station_id,<column>, then one row per key with the
-    repr of its float64 value from ``values``, flattened in key order: the
-    bytes csv.writer writes for these rows, built in one string."""
+def _write_csv(path, header, keys, values) -> None:
+    """The ``header`` line, then one row per key: the key (its leading fields
+    and their commas) and the repr of its float64 value from ``values``,
+    flattened in key order. The bytes csv.writer writes, in one string."""
     flat = np.asarray(values, dtype=np.float64).ravel().tolist()
-    lines = [f"timestamp,station_id,{column}\r\n"]
+    lines = [f"{header}\r\n"]
     lines.extend([f"{key}{v!r}\r\n"
                   for key, v in zip(keys, flat, strict=True)])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("".join(lines))
+
+
+def _write_forecasts(args, origins, ids, history, horizon, forecasts,
+                     summary) -> None:
+    """Write ``forecasts`` to --out and, when --truth-out is given, the
+    ground truth of the same rows there. ``summary`` is the stdout line's
+    text after the path, formatted with ``rows`` and ``origins``."""
+    keys = _forecast_keys(origins, ids, history, horizon)
+    _write_csv(args.out, "timestamp,station_id,pm25_pred", keys, forecasts)
+    print(f"wrote {args.out}: " + summary.format(rows=len(keys), origins=len(origins)))
+    if args.truth_out:
+        _write_csv(args.truth_out, "timestamp,station_id,pm25", keys,
+                   [w.x_future[:horizon, :, 0] for w in origins])
+        print(f"wrote {args.truth_out}: aligned ground truth")
 
 
 def cmd_ingest(args) -> int:
@@ -256,21 +262,15 @@ def cmd_predict(args) -> int:
     origins = forecast_origins(dataset.series, cfg.history_steps,
                                cfg.horizon_steps, ratio)
     stats = model.stats
-    ids = [s.station_id for s in dataset.stations]
     samples = [replace(w, x_hist=stats.normalize(w.x_hist)) for w in origins]
     with no_grad():
         pred = model.forward_batch(samples, "infer", horizon_steps=horizon)
     # (horizon, origins * n): each origin's n stations side by side
     forecasts = stats.denormalize(pred.data[:, :, 0])
     forecasts = forecasts.reshape(horizon, len(origins), -1).swapaxes(0, 1)
-    keys = _forecast_keys(origins, ids, cfg.history_steps, horizon)
-    _write_forecast_csv(args.out, "pm25_pred", keys, forecasts)
-    print(f"wrote {args.out}: {len(keys)} rows from {len(origins)} "
-          f"forecast origins at horizon {args.horizon}")
-    if args.truth_out:
-        _write_forecast_csv(args.truth_out, "pm25", keys,
-                            [w.x_future[:horizon, :, 0] for w in origins])
-        print(f"wrote {args.truth_out}: aligned ground truth")
+    _write_forecasts(args, origins, dataset.series.station_ids, cfg.history_steps,
+                     horizon, forecasts, "{rows} rows from {origins} forecast "
+                     "origins at horizon " + args.horizon)
     return 0
 
 
@@ -288,7 +288,6 @@ def cmd_baseline(args) -> int:
     if args.sparse_split:
         ratio = SPARSE_SPLIT
     origins = forecast_origins(dataset.series, history, horizon, ratio)
-    ids = [s.station_id for s in dataset.stations]
     forecasts = []
     for w in origins:
         start = w.start_index + history
@@ -300,14 +299,9 @@ def cmd_baseline(args) -> int:
             model = fit_var(series[:start], lags=3)
             forecasts.append(var_forecast(model, series[start - 3:start],
                                           horizon))
-    keys = _forecast_keys(origins, ids, history, horizon)
-    _write_forecast_csv(args.out, "pm25_pred", keys, forecasts)
-    print(f"wrote {args.out}: {args.method} baseline, {len(keys)} rows "
-          f"from {len(origins)} forecast origins")
-    if args.truth_out:
-        _write_forecast_csv(args.truth_out, "pm25", keys,
-                            [w.x_future[:, :, 0] for w in origins])
-        print(f"wrote {args.truth_out}: aligned ground truth")
+    _write_forecasts(args, origins, dataset.series.station_ids, history, horizon,
+                     forecasts, args.method + " baseline, {rows} rows from "
+                     "{origins} forecast origins")
     return 0
 
 
@@ -321,11 +315,10 @@ def cmd_evaluate(args) -> int:
     t = np.array([truth[k] for k in keys])
     print(f"mae={mae(p, t)!r} rmse={rmse(p, t)!r} points={len(keys)}")
     if args.sudden_change:
-        spec = SuddenChangeSpec.for_city(args.city)
-        # the truth three hours later; NaN where there is none never flags
-        later = np.array([truth.get((ts + timedelta(hours=3), sid), np.nan)
+        # the truth one step later; NaN where there is none never flags
+        later = np.array([truth.get((ts + STEP, sid), np.nan)
                           for ts, sid in keys])
-        mask = sudden_change_mask(np.stack([t, later]), spec)[0]
+        mask = sudden_change_mask(np.stack([t, later]), CITY_LEVELS[args.city])[0]
         report = masked_metrics(p, t, mask)
         print(f"sudden_change mae={report.mae!r} rmse={report.rmse!r} "
               f"points={report.n_points}")
@@ -345,8 +338,8 @@ def cmd_simulate(args) -> int:
         else:
             velocities = graph.weights
         final = simulate_advection_reference(velocities, x0, args.t)
-    _write_rows_csv(args.out, ["station_id", "value"],
-                    [[sid, repr(float(v))] for sid, v in zip(ids, final)])
+    _write_csv(args.out, "station_id,value",
+               [_csv_field(sid) + "," for sid in ids], final)
     print(f"wrote {args.out}: {args.mode} state at t={args.t:g} "
           f"(mass {float(x0.sum())!r} -> {float(final.sum())!r})")
     return 0
@@ -414,7 +407,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--sudden-change", action="store_true")
-    p.add_argument("--city", choices=["beijing", "shenzhen"], default=None)
+    p.add_argument("--city", choices=list(CITY_LEVELS), default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("baseline", help="historical-average or VAR forecast")
@@ -469,10 +462,7 @@ def cli_dispatch(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except AircastError as e:
-        print(f"aircast: error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (AircastError, OSError) as e:
         print(f"aircast: error: {e}", file=sys.stderr)
         return 2
 

@@ -28,6 +28,8 @@ EPOCH = datetime(1970, 1, 1)
 READINGS_HEADER = ["timestamp", "station_id", "pm25", "wind_speed", "wind_direction"]
 CHANNELS = ("pm25", "wind_speed", "wind_direction")
 HOUR = timedelta(hours=1)
+STEP_HOURS = 3       # hours in one model step; every step count derives from it
+STEP = timedelta(hours=STEP_HOURS)
 IMPUTE_WINDOW = 24   # hours of history a missing reading is averaged over
 
 
@@ -61,7 +63,7 @@ class Series3h:
         return self.pm25.shape[0]
 
     def time_at(self, index: int) -> datetime:
-        return self.start + timedelta(hours=3 * index)
+        return self.start + index * STEP
 
 
 @dataclass(frozen=True)
@@ -253,22 +255,24 @@ def wind_components(speed: np.ndarray, direction_deg: np.ndarray
 
 
 def resample_3h(series: HourlySeries) -> Series3h:
-    """Mean-pool complete 3-hour blocks; a trailing partial block is dropped."""
+    """Mean-pool complete STEP_HOURS-hour blocks; drop a trailing partial one."""
     if np.isnan(series.pm25).any() or np.isnan(series.wind_speed).any() \
             or np.isnan(series.wind_direction).any():
         raise DataError("resample_3h requires an imputed series")
     hours = series.hours
-    steps = hours // 3
+    steps = hours // STEP_HOURS
     if steps == 0:
-        raise DataError(f"series of {hours} hours has no complete 3-hour block")
-    dropped = hours - 3 * steps
+        raise DataError(
+            f"series of {hours} hours has no complete {STEP_HOURS}-hour block")
+    dropped = hours - STEP_HOURS * steps
     if dropped:
-        log.warning("dropping %d trailing hour(s) short of a 3-hour block", dropped)
+        log.warning("dropping %d trailing hour(s) short of a %d-hour block",
+                    dropped, STEP_HOURS)
     n = len(series.station_ids)
-    pm = series.pm25[:3 * steps].reshape(steps, 3, n).mean(axis=1)
+    pm = series.pm25[:STEP_HOURS * steps].reshape(steps, STEP_HOURS, n).mean(axis=1)
     u, v = wind_components(series.wind_speed, series.wind_direction)
-    u3 = u[:3 * steps].reshape(steps, 3, n).mean(axis=1)
-    v3 = v[:3 * steps].reshape(steps, 3, n).mean(axis=1)
+    u3 = u[:STEP_HOURS * steps].reshape(steps, STEP_HOURS, n).mean(axis=1)
+    v3 = v[:STEP_HOURS * steps].reshape(steps, STEP_HOURS, n).mean(axis=1)
     return Series3h(start=series.start, station_ids=list(series.station_ids),
                     pm25=pm, wind_u=u3, wind_v=v3)
 
@@ -453,11 +457,21 @@ def load_dataset(path) -> Dataset:
     with archive:
         meta = read_meta(archive, path, DATASET_FORMAT, _DATASET_SCHEMA)
         try:
-            pm25 = archive["pm25"]
-            wind_u = archive["wind_u"]
-            wind_v = archive["wind_v"]
+            arrays = {name: archive[name] for name in ("pm25", "wind_u", "wind_v")}
         except KeyError as e:
             raise FormatError(f"{path}: missing array {e}") from None
+    # (steps, stations), with the steps of pm25, which is checked first
+    expected = arrays["pm25"].shape[:1] + (len(meta["station_ids"]),)
+    for name, a in arrays.items():
+        if a.ndim != 2 or not np.issubdtype(a.dtype, np.floating):
+            problem = f"is {a.ndim}-D {a.dtype}, not a 2-D float array"
+        elif a.shape != expected:
+            problem = f"has shape {a.shape}, expected {expected}"
+        elif not np.isfinite(a).all():
+            problem = "holds a non-finite value"
+        else:
+            continue
+        raise FormatError(f"{path}: array {name!r} {problem}")
     cutoff = meta.get("max_distance_km")
     try:
         stations = [Station(sid, lat, lon) for sid, lat, lon in zip(
@@ -467,5 +481,5 @@ def load_dataset(path) -> Dataset:
         raise FormatError(f"{path}: {e}") from None
     series = Series3h(start=EPOCH + timedelta(seconds=meta["start_epoch"]),
                       station_ids=list(meta["station_ids"]),
-                      pm25=pm25, wind_u=wind_u, wind_v=wind_v)
+                      **arrays)
     return Dataset(series, stations, cutoff)

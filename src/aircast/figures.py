@@ -76,6 +76,14 @@ def _svg_open(title: str) -> list[str]:
     ]
 
 
+def _svg_close(parts: list[str], path) -> str:
+    """Close the SVG begun by _svg_open, write it to ``path`` and return it."""
+    svg = "\n".join(parts + ["</svg>"]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(svg)
+    return svg
+
+
 def _station_markers(stations, xy, colors) -> list[str]:
     parts = []
     for s, (x, y), fill in zip(stations, xy, colors):
@@ -127,11 +135,7 @@ def render_wind_heatmap(stations: list[Station], field: np.ndarray,
     parts.append(f'<text x="{_fmt(MARGIN)}" y="{_fmt(CANVAS_H - 20.0)}" '
                  f'font-family="sans-serif" font-size="12" fill="#222222">'
                  f'max concentration {vmax:.4g}, arrow scale {ARROW_SCALE:.4g} px per unit speed</text>')
-    parts.append('</svg>')
-    svg = "\n".join(parts) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    return svg
+    return _svg_close(parts, path)
 
 
 def diffusion_flux(weights: np.ndarray, field: np.ndarray, src: int,
@@ -193,8 +197,4 @@ def render_diffusion_lines(graph: SensorGraph, field: np.ndarray,
         parts.append(f'<text x="{_fmt(MARGIN)}" y="{_fmt(CANVAS_H - 48.0 + 14.0 * k)}" '
                      f'font-family="sans-serif" font-size="12" '
                      f'fill="#222222">{escape(line)}</text>')
-    parts.append('</svg>')
-    svg = "\n".join(parts) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    return svg
+    return _svg_close(parts, path)

@@ -14,6 +14,7 @@ act on each sample's own n-station graph.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
@@ -52,8 +53,10 @@ class ModelConfig:
                 raise ConfigurationError(f"{name} must be at least 1")
         if self.gate_mode not in GATE_MODES:
             raise ConfigurationError(f"gate_mode must be one of {GATE_MODES}")
-        if self.diffusion_coeff_init <= 0:
-            raise ConfigurationError("diffusion_coeff_init must be positive")
+        if not 0 < self.diffusion_coeff_init < math.inf:
+            raise ConfigurationError(
+                "diffusion_coeff_init must be positive and finite, got "
+                f"{self.diffusion_coeff_init}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -86,15 +89,15 @@ class GRUParams:
     b_n: Parameter
 
     @classmethod
-    def create(cls, rng, hidden: int, prefix: str = "gru") -> "GRUParams":
+    def create(cls, rng, hidden: int) -> "GRUParams":
         def w(name):
-            return uniform_param(rng, (1, hidden), 1, f"{prefix}.{name}")
+            return uniform_param(rng, (1, hidden), 1, f"gru.{name}")
 
         def u(name):
-            return uniform_param(rng, (hidden, hidden), hidden, f"{prefix}.{name}")
+            return uniform_param(rng, (hidden, hidden), hidden, f"gru.{name}")
 
         def b(name):
-            return uniform_param(rng, (1, hidden), hidden, f"{prefix}.{name}")
+            return uniform_param(rng, (1, hidden), hidden, f"gru.{name}")
 
         return cls(w_z=w("w_z"), u_z=u("u_z"), b_z=b("b_z"),
                    w_r=w("w_r"), u_r=u("u_r"), b_r=b("b_r"),
@@ -135,15 +138,14 @@ class LatentHeadParams:
     latent_dim: int
 
     @classmethod
-    def create(cls, rng, hidden: int, head_hidden: int, latent_dim: int,
-               prefix: str = "head") -> "LatentHeadParams":
+    def create(cls, rng, hidden: int, head_hidden: int,
+               latent_dim: int) -> "LatentHeadParams":
         return cls(
-            w1=uniform_param(rng, (hidden, head_hidden), hidden, f"{prefix}.w1"),
-            b1=uniform_param(rng, (1, head_hidden), hidden, f"{prefix}.b1"),
+            w1=uniform_param(rng, (hidden, head_hidden), hidden, "head.w1"),
+            b1=uniform_param(rng, (1, head_hidden), hidden, "head.b1"),
             w2=uniform_param(rng, (head_hidden, 2 * latent_dim), head_hidden,
-                             f"{prefix}.w2"),
-            b2=uniform_param(rng, (1, 2 * latent_dim), head_hidden,
-                             f"{prefix}.b2"),
+                             "head.w2"),
+            b2=uniform_param(rng, (1, 2 * latent_dim), head_hidden, "head.b2"),
             latent_dim=latent_dim,
         )
 
@@ -194,9 +196,9 @@ class DecoderParams:
     b: Parameter
 
     @classmethod
-    def create(cls, rng, latent_dim: int, prefix: str = "decoder") -> "DecoderParams":
-        return cls(w=uniform_param(rng, (latent_dim, 1), latent_dim, f"{prefix}.w"),
-                   b=uniform_param(rng, (1, 1), latent_dim, f"{prefix}.b"))
+    def create(cls, rng, latent_dim: int) -> "DecoderParams":
+        return cls(w=uniform_param(rng, (latent_dim, 1), latent_dim, "decoder.w"),
+                   b=uniform_param(rng, (1, 1), latent_dim, "decoder.b"))
 
     def parameters(self) -> list[Parameter]:
         return [self.w, self.b]
@@ -242,10 +244,6 @@ class Model:
                 "physics.diffusion_coeff_raw"),
             gate_mode=config.gate_mode,
         )
-        names = [p.name for p in self.parameters()]
-        if len(set(names)) != len(names):
-            dup = sorted({n for n in names if names.count(n) > 1})
-            raise ConfigurationError(f"duplicate parameter names: {dup}")
 
     @property
     def n_stations(self) -> int:
@@ -345,8 +343,12 @@ class ModelCheckpoint:
     split_ratio: tuple | None = None
 
     def __post_init__(self):
-        if self.norm_std <= 0:
-            raise ConfigurationError("checkpoint std must be positive")
+        if not -math.inf < self.norm_mean < math.inf:
+            raise ConfigurationError(
+                f"checkpoint mean must be finite, got {self.norm_mean}")
+        if not 0 < self.norm_std < math.inf:
+            raise ConfigurationError(
+                f"checkpoint std must be positive and finite, got {self.norm_std}")
 
 
 def make_checkpoint(model: Model, split_ratio: tuple | None = None

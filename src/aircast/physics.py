@@ -38,12 +38,12 @@ class FlowNetParams:
     b2: Parameter
 
     @classmethod
-    def create(cls, rng, hidden: int = 16, prefix: str = "flow") -> "FlowNetParams":
+    def create(cls, rng, hidden: int = 16) -> "FlowNetParams":
         return cls(
-            w1=uniform_param(rng, (2, hidden), 2, f"{prefix}.w1"),
-            b1=uniform_param(rng, (1, hidden), 2, f"{prefix}.b1"),
-            w2=uniform_param(rng, (hidden, 1), hidden, f"{prefix}.w2"),
-            b2=uniform_param(rng, (1, 1), hidden, f"{prefix}.b2"),
+            w1=uniform_param(rng, (2, hidden), 2, "flow.w1"),
+            b1=uniform_param(rng, (1, hidden), 2, "flow.b1"),
+            w2=uniform_param(rng, (hidden, 1), hidden, "flow.w2"),
+            b2=uniform_param(rng, (1, 1), hidden, "flow.b2"),
         )
 
     def parameters(self) -> list[Parameter]:
@@ -162,13 +162,13 @@ class FusionParams:
     b: Parameter
 
     @classmethod
-    def create(cls, rng, latent_dim: int, prefix: str = "fusion") -> "FusionParams":
+    def create(cls, rng, latent_dim: int) -> "FusionParams":
         return cls(
             w_diff=uniform_param(rng, (latent_dim, latent_dim), latent_dim,
-                                 f"{prefix}.w_diff"),
+                                 "fusion.w_diff"),
             w_adv=uniform_param(rng, (latent_dim, latent_dim), latent_dim,
-                                f"{prefix}.w_adv"),
-            b=uniform_param(rng, (1, latent_dim), latent_dim, f"{prefix}.b"),
+                                "fusion.w_adv"),
+            b=uniform_param(rng, (1, latent_dim), latent_dim, "fusion.b"),
         )
 
     def parameters(self) -> list[Parameter]:
@@ -257,8 +257,7 @@ class DEFunction:
 _REFERENCE_CFG = SolverConfig(rtol=1e-8, atol=1e-8)
 
 
-def _reference_solve(op: np.ndarray, x: np.ndarray, t,
-                     cfg: SolverConfig | None) -> np.ndarray:
+def _reference_solve(op: np.ndarray, x: np.ndarray, t) -> np.ndarray:
     """dX/dt = op X from x at time(s) t: the state, or (len(t), n)."""
     times = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if (times <= 0).any() or (np.diff(times) <= 0).any():
@@ -267,13 +266,13 @@ def _reference_solve(op: np.ndarray, x: np.ndarray, t,
     op_t = Tensor(op)
     states, _ = dopri5_integrate_stats(lambda _t, y: ad.matmul(op_t, y),
                                        Tensor(x[:, None]), grid,
-                                       cfg or _REFERENCE_CFG)
+                                       _REFERENCE_CFG)
     traj = np.stack([s.data[:, 0] for s in states])
     return traj if times.size > 1 else traj[0]
 
 
 def simulate_diffusion_reference(w_d: np.ndarray, x0: np.ndarray, coeff: float,
-                                 t, cfg: SolverConfig | None = None) -> np.ndarray:
+                                 t) -> np.ndarray:
     """Integrate dX/dt = -coeff * (D - W_d) X on the distance graph.
 
     The combinatorial Laplacian conserves total mass exactly (a linear
@@ -293,11 +292,11 @@ def simulate_diffusion_reference(w_d: np.ndarray, x0: np.ndarray, coeff: float,
     if x.size != w.shape[0]:
         raise DimensionError(f"x0 size {x.size} does not match graph {w.shape}")
     lap = np.diag(w.sum(axis=1)) - w
-    return _reference_solve(-coeff * lap, x, t, cfg)
+    return _reference_solve(-coeff * lap, x, t)
 
 
-def simulate_advection_reference(velocities: np.ndarray, x0: np.ndarray, t,
-                                 cfg: SolverConfig | None = None) -> np.ndarray:
+def simulate_advection_reference(velocities: np.ndarray, x0: np.ndarray,
+                                 t) -> np.ndarray:
     """Integrate mass-conserving transport on directed edge velocities.
 
     velocities[i, j] is the rate from node i to node j (non-negative, zero
@@ -313,4 +312,4 @@ def simulate_advection_reference(velocities: np.ndarray, x0: np.ndarray, t,
     x = np.asarray(x0, dtype=np.float64).reshape(-1)
     if x.size != v.shape[0]:
         raise DimensionError(f"x0 size {x.size} does not match graph {v.shape}")
-    return _reference_solve(v.T - np.diag(v.sum(axis=1)), x, t, cfg)
+    return _reference_solve(v.T - np.diag(v.sum(axis=1)), x, t)

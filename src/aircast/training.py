@@ -140,8 +140,7 @@ def train_loop(model: Model, split: DatasetSplit, cfg: TrainConfig,
     """
     if not split.train or not split.val:
         raise ConfigurationError("train and val partitions must be non-empty")
-    if model.stats is None:
-        model.stats = split.stats
+    model.stats = split.stats  # the windows are normalized by these
     root = np.random.default_rng(cfg.seed)
     shuffle_rng, eps_rng = root.spawn(2)
     opt = Adam(model.parameters())

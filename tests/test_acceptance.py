@@ -25,7 +25,7 @@ from aircast.data import (HourlySeries, Series3h, WindowSample,
 from aircast.figures import (diffusion_flux, render_diffusion_lines,
                              render_wind_heatmap)
 from aircast.graph import SensorGraph, scaled_laplacian
-from aircast.metrics import SuddenChangeSpec, sudden_change_mask
+from aircast.metrics import CITY_LEVELS, SUDDEN_CHANGE_DELTA, sudden_change_mask
 from aircast.model import (Model, ModelConfig, checkpoint_roundtrip,
                            make_checkpoint)
 from aircast.odeint import (SolverConfig, TimeGrid, dopri5_integrate_stats,
@@ -331,9 +331,8 @@ def test_c7_data_protocol_oracles():
     # sudden-change masks at both city thresholds, plus or minus 20
     truth = rng.uniform(0.0, 120.0, size=(30, 4))
     for city, level in (("beijing", 50.0), ("shenzhen", 20.0)):
-        spec = SuddenChangeSpec.for_city(city)
-        assert spec.level == level and spec.delta == 20.0
-        got = sudden_change_mask(truth, spec)
+        assert CITY_LEVELS[city] == level and SUDDEN_CHANGE_DELTA == 20.0
+        got = sudden_change_mask(truth, CITY_LEVELS[city])
         want = np.zeros_like(got)
         for t in range(29):
             for i in range(4):

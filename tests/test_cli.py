@@ -18,12 +18,13 @@ from aircast.cli import (SEED_ENV, _read_forecast_csv, _read_matrix_csv,
                          load_config)
 from aircast.data import (NormStats, load_dataset, make_windows, parse_readings,
                           split_counts)
-from aircast.errors import ConfigurationError, ParseError
+from aircast.errors import ConfigurationError, FormatError, ParseError
 from aircast.graph import SensorGraph, load_stations
-from aircast.metrics import SuddenChangeSpec, mae, rmse
+from aircast.metrics import CITY_LEVELS, SUDDEN_CHANGE_DELTA, mae, rmse
 from aircast.model import (Model, ModelConfig, load_checkpoint, make_checkpoint,
                            model_from_checkpoint, save_checkpoint)
 from aircast.odeint import SolverConfig
+from aircast.physics import simulate_advection_reference, simulate_diffusion_reference
 
 from conftest import rewrite_metadata
 
@@ -364,6 +365,36 @@ def test_forecast_csvs_are_byte_equal_to_csv_writer(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_csv_is_byte_equal_to_csv_writer(tmp_path, capsys):
+    # station ids that csv.writer must quote, in both simulator modes
+    stations, x0_path = tmp_path / "stations.csv", tmp_path / "x0.csv"
+    x0 = np.array([10.0, 40.5, 7.25, 22.0])
+    with open(stations, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["station_id", "latitude", "longitude"])
+        for i, sid in enumerate(QUIRKY_IDS):
+            writer.writerow([sid, 39.5 + 0.3 * (i % 2), 116.0 + 0.3 * (i // 2)])
+    with open(x0_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["station_id", "value"])
+        writer.writerows(zip(QUIRKY_IDS, x0.tolist()))
+    weights = SensorGraph.from_stations(load_stations(stations)).weights
+    finals = {"diffusion": simulate_diffusion_reference(weights, x0, 0.1, 2.0),
+              "advection": simulate_advection_reference(weights, x0, 2.0)}
+    for mode, final in finals.items():
+        out, oracle = tmp_path / f"{mode}.csv", tmp_path / "oracle.csv"
+        assert cli_dispatch(["simulate", "--mode", mode, "--graph", str(stations),
+                             "--x0", str(x0_path), "--t", "2", "--out",
+                             str(out)]) == 0
+        with open(oracle, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["station_id", "value"])
+            writer.writerows([sid, repr(float(v))]
+                             for sid, v in zip(QUIRKY_IDS, final))
+        assert out.read_bytes() == oracle.read_bytes(), mode
+    capsys.readouterr()
+
+
 def test_evaluate_model_output(pipeline, capsys):
     assert cli_dispatch(["evaluate", "--pred", str(pipeline["pred"]),
                          "--truth", str(pipeline["truth"])]) == 0
@@ -670,10 +701,11 @@ def test_evaluate_sudden_change_shenzhen_threshold(tmp_path, capsys):
     assert "no sudden-change points" in capsys.readouterr().err
 
 
-def sudden_change_oracle(pred, truth, spec):
+def sudden_change_oracle(pred, truth, level):
     """evaluate's sudden-change line, computed station by station: a point
     is flagged when its truth exceeds the level and the station's next
-    truth row, exactly three hours later, differs by more than delta."""
+    truth row, exactly three hours later, differs by more than
+    SUDDEN_CHANGE_DELTA."""
     by_station = defaultdict(list)
     for (ts, sid), v in truth.items():
         by_station[sid].append((ts, v))
@@ -681,8 +713,8 @@ def sudden_change_oracle(pred, truth, spec):
     for sid, seq in by_station.items():
         seq.sort()
         for (ts, v), (ts2, v2) in zip(seq, seq[1:]):
-            if (ts2 - ts == timedelta(hours=3) and v > spec.level
-                    and abs(v2 - v) > spec.delta):
+            if (ts2 - ts == timedelta(hours=3) and v > level
+                    and abs(v2 - v) > SUDDEN_CHANGE_DELTA):
                 flagged.add((ts, sid))
     keys = sorted(k for k in set(pred) & set(truth) if k in flagged)
     p = np.array([pred[k] for k in keys])
@@ -716,7 +748,7 @@ def test_evaluate_sudden_change_matches_per_station_oracle(tmp_path, capsys,
     assert cli_dispatch(["evaluate", "--pred", paths[0], "--truth", paths[1],
                          "--sudden-change", "--city", city]) == 0
     lines = capsys.readouterr().out.splitlines()
-    expected = sudden_change_oracle(pred, truth, SuddenChangeSpec.for_city(city))
+    expected = sudden_change_oracle(pred, truth, CITY_LEVELS[city])
     assert lines[1] == expected
     assert int(expected.rsplit("=", 1)[1]) > 10
 
@@ -731,6 +763,61 @@ def test_predict_on_incomplete_checkpoint_exits_2(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{ckpt}: bad metadata field 'norm_mean': missing" in err
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: {**meta, "norm_std": float("inf")},
+     "checkpoint std must be positive and finite, got inf"),
+    (lambda meta: {**meta, "norm_mean": float("nan")},
+     "checkpoint mean must be finite, got nan"),
+    (lambda meta: {**meta, "config": {**meta["config"],
+                                      "diffusion_coeff_init": float("inf")}},
+     "diffusion_coeff_init must be positive and finite, got inf"),
+], ids=["inf-std", "nan-mean", "inf-diffusion_coeff_init"])
+def test_predict_rejects_non_finite_checkpoint_numbers(pipeline, tmp_path,
+                                                       capsys, edit, message):
+    ckpt = tmp_path / "ckpt.npz"
+    rewrite_metadata(pipeline["ckpt"], ckpt, edit)  # json writes Infinity, NaN
+    out = tmp_path / "p.csv"
+    assert cli_dispatch(["predict", "--checkpoint", str(ckpt), "--data",
+                         str(pipeline["data"]), "--horizon", "24h", "--out",
+                         str(out)]) == 2
+    assert f"{ckpt}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _with_nan(a):
+    a = a.copy()
+    a[5, 1] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("name, change, problem", [
+    ("pm25", lambda a: np.hstack([a, a[:, :1]]),
+     "has shape (64, 5), expected (64, 4)"),
+    ("wind_u", lambda a: a[:-50], "has shape (14, 4), expected (64, 4)"),
+    ("wind_v", np.ravel, "is 1-D float64, not a 2-D float array"),
+    ("pm25", lambda a: np.array(1.0), "is 0-D float64, not a 2-D float array"),
+    ("wind_u", _with_nan, "holds a non-finite value"),
+], ids=["extra-column", "short-wind", "1-d", "0-d", "nan"])
+def test_malformed_dataset_arrays_exit_2(pipeline, tmp_path, capsys, name,
+                                         change, problem):
+    with np.load(pipeline["data"]) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    assert arrays["pm25"].shape == (64, 4)
+    arrays[name] = change(arrays[name])
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    with pytest.raises(FormatError) as info:
+        load_dataset(bad)
+    assert str(info.value) == f"{bad}: array {name!r} {problem}"
+    out = tmp_path / "out.csv"
+    for argv in (["baseline", "--method", "ha"],
+                 ["predict", "--checkpoint", str(pipeline["ckpt"]),
+                  "--horizon", "24h"]):
+        assert cli_dispatch(argv + ["--data", str(bad), "--out", str(out)]) == 2
+        assert f"{bad}: array {name!r} {problem}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_load_config_defaults_and_sections(tmp_path):

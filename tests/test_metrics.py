@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from aircast.errors import ContractError, DataError, DimensionError
-from aircast.metrics import (CITY_LEVELS, HORIZON_STEPS, MetricsReport,
-                             SuddenChangeSpec, mae, masked_metrics, rmse,
+from aircast.metrics import (CITY_LEVELS, HORIZON_STEPS, SUDDEN_CHANGE_DELTA,
+                             MetricsReport, mae, masked_metrics, rmse,
                              sudden_change_mask)
 
 
@@ -68,17 +68,12 @@ def test_horizon_step_table():
 
 def test_city_thresholds():
     assert CITY_LEVELS == {"beijing": 50.0, "shenzhen": 20.0}
-    spec = SuddenChangeSpec.for_city("Beijing")
-    assert spec.level == 50.0
-    assert spec.delta == 20.0
-    assert SuddenChangeSpec.for_city("shenzhen").level == 20.0
-    with pytest.raises(DataError):
-        SuddenChangeSpec.for_city("paris")
+    assert SUDDEN_CHANGE_DELTA == 20.0
 
 
 def test_sudden_change_hand_case():
     truth = np.array([[55.0], [80.0], [85.0], [40.0]])
-    mask = sudden_change_mask(truth, SuddenChangeSpec(level=50.0))
+    mask = sudden_change_mask(truth, 50.0)
     # 55 -> 80 jumps 25 above the 50 level; 80 -> 85 is too small a move;
     # 85 -> 40 is a crash from above the level; the last row has no successor
     np.testing.assert_array_equal(mask[:, 0], [True, False, True, False])
@@ -86,21 +81,20 @@ def test_sudden_change_hand_case():
 
 def test_sudden_change_requires_level_exceeded():
     truth = np.array([[30.0], [60.0]])
-    mask = sudden_change_mask(truth, SuddenChangeSpec(level=50.0))
+    mask = sudden_change_mask(truth, 50.0)
     assert not mask.any()  # the jump starts below the level
-    mask_sz = sudden_change_mask(truth, SuddenChangeSpec(level=20.0))
+    mask_sz = sudden_change_mask(truth, 20.0)
     np.testing.assert_array_equal(mask_sz[:, 0], [True, False])
 
 
 def test_sudden_change_constant_series_has_no_events():
     truth = np.full((10, 3), 120.0)
-    assert not sudden_change_mask(truth, SuddenChangeSpec(level=50.0)).any()
+    assert not sudden_change_mask(truth, 50.0).any()
 
 
 def test_sudden_change_brute_force_oracle(rng):
     truth = rng.uniform(0, 120, size=(30, 4))
-    spec = SuddenChangeSpec(level=50.0, delta=20.0)
-    got = sudden_change_mask(truth, spec)
+    got = sudden_change_mask(truth, 50.0)
     for t in range(30):
         for s in range(4):
             if t == 29:
@@ -113,8 +107,8 @@ def test_sudden_change_brute_force_oracle(rng):
 
 def test_sudden_change_shape_rules():
     with pytest.raises(DimensionError):
-        sudden_change_mask(np.zeros(5), SuddenChangeSpec(level=50.0))
-    single = sudden_change_mask(np.full((1, 3), 99.0), SuddenChangeSpec(50.0))
+        sudden_change_mask(np.zeros(5), 50.0)
+    single = sudden_change_mask(np.full((1, 3), 99.0), 50.0)
     assert not single.any()
 
 

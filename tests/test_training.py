@@ -7,7 +7,7 @@ import pytest
 from aircast import autodiff as ad
 from aircast import training
 from aircast.autodiff import Parameter, Tensor, backward, clear_tape
-from aircast.data import chronological_split, make_windows
+from aircast.data import NormStats, chronological_split, make_windows
 from aircast.errors import ConfigurationError, ContractError, NumericError
 from aircast.model import Model, ModelConfig
 from aircast.training import (Adam, TrainConfig, _epoch_eval, clip_gradients,
@@ -268,3 +268,10 @@ def test_train_loop_adopts_split_stats():
     assert model.stats is None
     train_loop(model, split, TrainConfig(batch_size=8, max_epochs=1, patience=1))
     assert model.stats is split.stats
+    # other stats would de-normalize predictions of split-normalized windows
+    model = tiny_model()
+    model.stats = NormStats(0.0, 1.0)
+    ckpt, _ = train_loop(model, split,
+                         TrainConfig(batch_size=8, max_epochs=1, patience=1))
+    assert model.stats is split.stats
+    assert (ckpt.norm_mean, ckpt.norm_std) == (split.stats.mean, split.stats.std)
