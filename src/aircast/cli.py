@@ -23,9 +23,10 @@ import numpy as np
 
 from .autodiff import no_grad
 from .baselines import fit_var, ha_forecast, var_forecast
-from .data import (STEP, Dataset, chronological_split, forecast_origins,
-                   impute_missing, load_dataset, make_windows, parse_finite,
-                   parse_readings, resample_3h, save_dataset, _parse_timestamp)
+from .data import (DEFAULT_SPLIT, STEP, Dataset, chronological_split,
+                   forecast_origins, impute_missing, load_dataset, make_windows,
+                   parse_finite, parse_readings, resample_3h, save_dataset,
+                   _parse_timestamp)
 from .errors import (AircastError, ConfigurationError, DataError, ParseError,
                      UnknownStationError)
 from .figures import render_diffusion_lines, render_wind_heatmap
@@ -39,7 +40,6 @@ from .physics import simulate_advection_reference, simulate_diffusion_reference
 from .training import TrainConfig, train_loop
 
 SEED_ENV = "AQC_SEED"
-DEFAULT_SPLIT = (7, 1, 2)
 SPARSE_SPLIT = (3, 1, 6)
 CONFIG_SECTIONS = {"model": ModelConfig, "train": TrainConfig,
                    "solver": SolverConfig}
@@ -258,9 +258,8 @@ def cmd_predict(args) -> int:
         raise ConfigurationError(
             f"checkpoint predicts {cfg.horizon_steps} steps, "
             f"{args.horizon} needs {horizon}")
-    ratio = ckpt.split_ratio or DEFAULT_SPLIT
     origins = forecast_origins(dataset.series, cfg.history_steps,
-                               cfg.horizon_steps, ratio)
+                               cfg.horizon_steps, ckpt.split_ratio)
     stats = model.stats
     samples = [replace(w, x_hist=stats.normalize(w.x_hist)) for w in origins]
     with no_grad():
@@ -280,7 +279,7 @@ def cmd_baseline(args) -> int:
     if args.checkpoint:
         ckpt = load_checkpoint(args.checkpoint)
         history, horizon = ckpt.config.history_steps, ckpt.config.horizon_steps
-        ratio = ckpt.split_ratio or DEFAULT_SPLIT
+        ratio = ckpt.split_ratio
     else:
         cfg = ModelConfig()
         history, horizon = cfg.history_steps, cfg.horizon_steps
@@ -296,8 +295,8 @@ def cmd_baseline(args) -> int:
                                          range(start, start + horizon)))
         else:
             # fit only on data available at the forecast origin
-            model = fit_var(series[:start], lags=3)
-            forecasts.append(var_forecast(model, series[start - 3:start],
+            model = fit_var(series[:start])
+            forecasts.append(var_forecast(model, series[start - model.lags:start],
                                           horizon))
     _write_forecasts(args, origins, dataset.series.station_ids, history, horizon,
                      forecasts, args.method + " baseline, {rows} rows from "

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 import zipfile
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
@@ -31,6 +32,7 @@ HOUR = timedelta(hours=1)
 STEP_HOURS = 3       # hours in one model step; every step count derives from it
 STEP = timedelta(hours=STEP_HOURS)
 IMPUTE_WINDOW = 24   # hours of history a missing reading is averaged over
+DEFAULT_SPLIT = (7, 1, 2)  # train:val:test windows
 
 
 @dataclass
@@ -319,12 +321,17 @@ def make_windows(series: Series3h, history_steps: int = 24,
     return windows
 
 
-def split_counts(n: int, ratio: tuple = (7, 1, 2)) -> tuple[int, int, int]:
-    """Partition sizes for a whole-number ratio such as 7:1:2: exact floor
-    for train and val, remainder to test."""
-    if len(ratio) != 3 or any(r <= 0 or not float(r).is_integer() for r in ratio):
+def check_ratio(ratio: tuple) -> None:
+    """A split ratio is three positive whole numbers, such as 7:1:2."""
+    if len(ratio) != 3 or any(not r > 0 or r % 1 for r in ratio):
         raise ConfigurationError(
             f"ratio must be three positive whole numbers, got {ratio}")
+
+
+def split_counts(n: int, ratio: tuple = DEFAULT_SPLIT) -> tuple[int, int, int]:
+    """Partition sizes for a whole-number ratio such as 7:1:2: exact floor
+    for train and val, remainder to test."""
+    check_ratio(ratio)
     total = int(sum(ratio))
     n_train = (n * int(ratio[0])) // total
     n_val = (n * int(ratio[1])) // total
@@ -337,7 +344,7 @@ def split_counts(n: int, ratio: tuple = (7, 1, 2)) -> tuple[int, int, int]:
 
 
 def forecast_origins(series: Series3h, history_steps: int, horizon_steps: int,
-                     ratio: tuple = (7, 1, 2)) -> list[WindowSample]:
+                     ratio: tuple = DEFAULT_SPLIT) -> list[WindowSample]:
     """Non-overlapping forecast origins: every horizon-th window of the test
     partition that chronological_split would make from all the windows.
 
@@ -350,7 +357,7 @@ def forecast_origins(series: Series3h, history_steps: int, horizon_steps: int,
 
 
 def chronological_split(windows: list[WindowSample],
-                        ratio: tuple = (7, 1, 2)) -> DatasetSplit:
+                        ratio: tuple = DEFAULT_SPLIT) -> DatasetSplit:
     """Split window starts chronologically and normalize from train stats.
 
     floor(train_frac * n) windows go to train, floor(val_frac * n) to val,
@@ -391,20 +398,12 @@ class Dataset:
             raise ConfigurationError("station table does not match series columns")
 
 
-def save_dataset(dataset: Dataset, path) -> None:
-    """Persist a processed dataset as one .npz file with JSON metadata."""
-    series = dataset.series
-    meta = {
-        "format": DATASET_FORMAT,
-        "start_epoch": int((series.start - EPOCH).total_seconds()),
-        "station_ids": list(series.station_ids),
-        "latitudes": [s.latitude for s in dataset.stations],
-        "longitudes": [s.longitude for s in dataset.stations],
-        "max_distance_km": dataset.max_distance_km,
-    }
+def save_container(path, fmt: str, meta: dict, arrays: dict) -> None:
+    """One .npz file: the JSON metadata, its ``format`` key first, as the
+    ``_meta`` entry, then ``arrays`` under their names."""
     with open(path, "wb") as fh:
-        np.savez(fh, _meta=np.array(json.dumps(meta)),
-                 pm25=series.pm25, wind_u=series.wind_u, wind_v=series.wind_v)
+        np.savez(fh, _meta=np.array(json.dumps({"format": fmt, **meta})),
+                 **arrays)
 
 
 NUMBER = (int, float)
@@ -412,7 +411,12 @@ NUMBER = (int, float)
 
 def has_type(value, kind) -> bool:
     """Whether a JSON value has ``kind``: a type (a bool is no number), a
-    tuple of kinds (any of them) or [kind] (a list of that kind)."""
+    tuple of kinds (any of them) or [kind] (a list of that kind). A NUMBER
+    must convert to a float, which a huge JSON int does not; whether it
+    must be finite is the field's own check."""
+    if kind == NUMBER:
+        return has_type(value, float) or (
+            has_type(value, int) and abs(value) <= sys.float_info.max)
     if isinstance(kind, tuple):
         return any(has_type(value, k) for k in kind)
     if isinstance(kind, list):
@@ -420,19 +424,21 @@ def has_type(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def read_meta(archive, path, fmt: str, schema: dict) -> dict:
-    """JSON metadata of an open .npz container in format ``fmt``.
-
-    Every field in ``schema`` must have its kind (see ``has_type``); a
-    missing field reads as None. Anything else is a FormatError naming the
-    file.
-    """
-    if "_meta" not in archive:
-        raise FormatError(f"{path}: missing metadata entry")
+def load_container(path, fmt: str, schema: dict) -> tuple[dict, dict]:
+    """(metadata, arrays) of a .npz file in format ``fmt``; every metadata
+    field in ``schema`` must have its kind (see ``has_type``), and a missing
+    field reads as None. Anything else is a FormatError naming the file."""
     try:
-        meta = json.loads(str(archive["_meta"]))
-    except json.JSONDecodeError:
-        raise FormatError(f"{path}: corrupt metadata") from None
+        with np.load(path, allow_pickle=False) as archive:
+            if "_meta" not in archive:
+                raise FormatError(f"{path}: missing metadata entry")
+            try:
+                meta = json.loads(str(archive["_meta"]))
+            except json.JSONDecodeError:
+                raise FormatError(f"{path}: corrupt metadata") from None
+            arrays = {key: archive[key] for key in archive.files if key != "_meta"}
+    except (zipfile.BadZipFile, OSError, ValueError) as e:
+        raise FormatError(f"{path}: not a readable container ({e})") from None
     if not isinstance(meta, dict):
         raise FormatError(f"{path}: metadata is not a JSON object")
     if meta.get("format") != fmt:
@@ -441,25 +447,34 @@ def read_meta(archive, path, fmt: str, schema: dict) -> dict:
         if not has_type(meta.get(key), kind):
             found = f"{meta[key]!r}" if key in meta else "missing"
             raise FormatError(f"{path}: bad metadata field {key!r}: {found}")
-    return meta
+    return meta, arrays
+
+
+def save_dataset(dataset: Dataset, path) -> None:
+    """Persist a processed dataset as one .npz file with JSON metadata."""
+    series = dataset.series
+    meta = {
+        "start_epoch": int((series.start - EPOCH).total_seconds()),
+        "station_ids": list(series.station_ids),
+        "latitudes": [s.latitude for s in dataset.stations],
+        "longitudes": [s.longitude for s in dataset.stations],
+        "max_distance_km": dataset.max_distance_km,
+    }
+    save_container(path, DATASET_FORMAT, meta, {
+        "pm25": series.pm25, "wind_u": series.wind_u, "wind_v": series.wind_v})
 
 
 _DATASET_SCHEMA = {"start_epoch": int, "station_ids": [str],
                    "latitudes": [NUMBER], "longitudes": [NUMBER],
-                   "max_distance_km": NUMBER + (type(None),)}
+                   "max_distance_km": (NUMBER, type(None))}
 
 
 def load_dataset(path) -> Dataset:
+    meta, stored = load_container(path, DATASET_FORMAT, _DATASET_SCHEMA)
     try:
-        archive = np.load(path, allow_pickle=False)
-    except (zipfile.BadZipFile, OSError, ValueError) as e:
-        raise FormatError(f"{path}: not a readable container ({e})") from None
-    with archive:
-        meta = read_meta(archive, path, DATASET_FORMAT, _DATASET_SCHEMA)
-        try:
-            arrays = {name: archive[name] for name in ("pm25", "wind_u", "wind_v")}
-        except KeyError as e:
-            raise FormatError(f"{path}: missing array {e}") from None
+        arrays = {name: stored[name] for name in ("pm25", "wind_u", "wind_v")}
+    except KeyError as e:
+        raise FormatError(f"{path}: missing array {e}") from None
     # (steps, stations), with the steps of pm25, which is checked first
     expected = arrays["pm25"].shape[:1] + (len(meta["station_ids"]),)
     for name, a in arrays.items():
@@ -477,9 +492,13 @@ def load_dataset(path) -> Dataset:
         stations = [Station(sid, lat, lon) for sid, lat, lon in zip(
             meta["station_ids"], meta["latitudes"], meta["longitudes"])]
         check_cutoff(cutoff)
+        start = EPOCH + timedelta(seconds=meta["start_epoch"])
+        start + (len(arrays["pm25"]) - 1) * STEP  # the last step's time too
     except (ContractError, ConfigurationError) as e:
         raise FormatError(f"{path}: {e}") from None
-    series = Series3h(start=EPOCH + timedelta(seconds=meta["start_epoch"]),
-                      station_ids=list(meta["station_ids"]),
+    except OverflowError:
+        raise FormatError(f"{path}: start_epoch {meta['start_epoch']} is out "
+                          "of the datetime range") from None
+    series = Series3h(start=start, station_ids=list(meta["station_ids"]),
                       **arrays)
     return Dataset(series, stations, cutoff)

@@ -13,9 +13,7 @@ act on each sample's own n-station graph.
 
 from __future__ import annotations
 
-import json
 import math
-import zipfile
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
@@ -23,7 +21,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor, no_grad
-from .data import NUMBER, NormStats, WindowSample, has_type, read_meta
+from .data import (DEFAULT_SPLIT, NUMBER, NormStats, WindowSample, check_ratio,
+                   has_type, load_container, save_container)
 from .errors import (ConfigurationError, ContractError, DataError,
                      DimensionError, FormatError)
 from .graph import ScaledLaplacian, SensorGraph, scaled_laplacian
@@ -340,9 +339,10 @@ class ModelCheckpoint:
     norm_mean: float
     norm_std: float
     n_stations: int
-    split_ratio: tuple | None = None
+    split_ratio: tuple = DEFAULT_SPLIT
 
     def __post_init__(self):
+        check_ratio(self.split_ratio)
         if not -math.inf < self.norm_mean < math.inf:
             raise ConfigurationError(
                 f"checkpoint mean must be finite, got {self.norm_mean}")
@@ -351,7 +351,7 @@ class ModelCheckpoint:
                 f"checkpoint std must be positive and finite, got {self.norm_std}")
 
 
-def make_checkpoint(model: Model, split_ratio: tuple | None = None
+def make_checkpoint(model: Model, split_ratio: tuple = DEFAULT_SPLIT
                     ) -> ModelCheckpoint:
     if model.stats is None:
         raise ConfigurationError("cannot checkpoint a model without stats")
@@ -365,15 +365,13 @@ def make_checkpoint(model: Model, split_ratio: tuple | None = None
 
 def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
     meta = {
-        "format": CHECKPOINT_FORMAT,
         "config": asdict(ckpt.config),
         "norm_mean": ckpt.norm_mean,
         "norm_std": ckpt.norm_std,
         "n_stations": ckpt.n_stations,
-        "split_ratio": list(ckpt.split_ratio) if ckpt.split_ratio else None,
+        "split_ratio": list(ckpt.split_ratio),
     }
-    with open(path, "wb") as fh:
-        np.savez(fh, _meta=np.array(json.dumps(meta)), **ckpt.arrays)
+    save_container(path, CHECKPOINT_FORMAT, meta, ckpt.arrays)
 
 
 _CHECKPOINT_SCHEMA = {"config": dict, "norm_mean": NUMBER, "norm_std": NUMBER,
@@ -381,13 +379,8 @@ _CHECKPOINT_SCHEMA = {"config": dict, "norm_mean": NUMBER, "norm_std": NUMBER,
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except (zipfile.BadZipFile, OSError, ValueError) as e:
-        raise FormatError(f"{path}: not a readable checkpoint ({e})") from None
-    with archive:
-        meta = read_meta(archive, path, CHECKPOINT_FORMAT, _CHECKPOINT_SCHEMA)
-        arrays = {key: archive[key] for key in archive.files if key != "_meta"}
+    """A saved checkpoint; a null or absent split ratio reads as 7:1:2."""
+    meta, arrays = load_container(path, CHECKPOINT_FORMAT, _CHECKPOINT_SCHEMA)
     try:
         return ModelCheckpoint(
             config=ModelConfig.from_dict(meta["config"]),
@@ -395,7 +388,8 @@ def load_checkpoint(path) -> ModelCheckpoint:
             norm_mean=meta["norm_mean"],
             norm_std=meta["norm_std"],
             n_stations=meta["n_stations"],
-            split_ratio=tuple(meta["split_ratio"]) if meta.get("split_ratio") else None,
+            split_ratio=DEFAULT_SPLIT if meta.get("split_ratio") is None
+            else tuple(meta["split_ratio"]),
         )
     except ConfigurationError as e:
         raise FormatError(f"{path}: {e}") from None
@@ -436,10 +430,3 @@ def model_from_checkpoint(ckpt: ModelCheckpoint, graph: SensorGraph,
                 f"{p.data.shape}")
         p.data[...] = saved
     return model
-
-
-def checkpoint_roundtrip(model: Model, path) -> Model:
-    """Save and reload; parameters of the result are bitwise equal."""
-    save_checkpoint(make_checkpoint(model), path)
-    return model_from_checkpoint(load_checkpoint(path), model.graph,
-                                 solver=model.solver)

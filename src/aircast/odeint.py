@@ -15,13 +15,15 @@ attempt costs 6 evaluations of the right-hand side, plus 1 for the start.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .autodiff import Tensor, no_grad, stack
-from .errors import ConfigurationError, ContractError, NumericError
+from .errors import (ConfigurationError, ContractError, DimensionError,
+                     NumericError)
 
 log = logging.getLogger(__name__)
 
@@ -38,10 +40,10 @@ class SolverConfig:
     max_steps: int = 10_000
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ConfigurationError("rtol and atol must be positive")
-        if self.h_init <= 0:
-            raise ConfigurationError("h_init must be positive")
+        for name in ("rtol", "atol", "h_init"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite, "
+                                         f"got {getattr(self, name)}")
         if self.max_steps < 1:
             raise ConfigurationError("max_steps must be at least 1")
 
@@ -164,15 +166,15 @@ def _dense_weights(theta: np.ndarray) -> np.ndarray:
     return th * (p[:, 0] + th * (p[:, 1] + th * (p[:, 2] + th * p[:, 3])))
 
 
-def dopri5_integrate_stats(f: Callable[[float | np.ndarray, Tensor], Tensor],
+def dopri5_integrate_stats(f: Callable[[np.ndarray, Tensor], Tensor],
                            z0: Tensor, grid: TimeGrid,
                            cfg: SolverConfig = SolverConfig()
                            ) -> tuple[list[Tensor], IntegrationStats]:
     """States at t_1..t_end from adaptive Dormand-Prince 5(4), with step
     statistics. Not differentiable.
 
-    A 3-D state (batch, n, latent) is `batch` independent systems; any
-    other state is one system. Each system has its own time, step size,
+    The state (batch, n, latent) is `batch` independent systems; any other
+    shape is a DimensionError. Each system has its own time, step size,
     step budget and accept/reject decision. Its error norm per attempt is
     the RMS over that system's components of
     err_c / (atol + rtol * max(|z_c|, |z5_c|)); a step is accepted when the
@@ -181,41 +183,36 @@ def dopri5_integrate_stats(f: Callable[[float | np.ndarray, Tensor], Tensor],
     which each system lands on exactly. Interior grid times do not shorten
     a step: a grid time inside an accepted step (t_old, t_new] gets the
     4th-order continuous extension built from that step's stages (dense
-    output), or the 5th-order solution itself when it equals t_new. A
-    batched state therefore takes, per sample, the steps that sample would
-    take alone.
+    output), or the 5th-order solution itself when it equals t_new. Each
+    sample therefore takes the steps it would take in a batch of one.
 
     Every attempt evaluates f once per stage on the whole batch; a sample
     that has reached the last grid time steps with h = 0 until the others
     finish. The 7th stage of an accepted step is f at the new state, so it
     is the next step's first stage (first same as last); a sample that
-    rejects its step keeps its old first stage. f receives t as a float for
-    one system and as a (batch,) array of per-sample times for a 3-D state.
+    rejects its step keeps its old first stage. f receives t as a (batch,)
+    array of per-sample times.
     `accepted` and `rejected` sum over samples; `f_evals` counts calls of f,
     6 per attempt plus the initial one. Logs the statistics at INFO through
     the `aircast.odeint` logger.
     """
+    if z0.data.ndim != 3:
+        raise DimensionError(
+            f"dopri5 state must be (batch, n, latent), got {z0.shape}")
     stats = IntegrationStats()
-    batched = z0.data.ndim == 3
     times = [float(t) for t in grid.times]
     end = times[-1]
     with no_grad():
-        # y is (batch, *state) throughout; one system is a batch of one
         y = np.array(z0.data, dtype=np.float64, copy=True)
-        if not batched:
-            y = y[None]
         batch = y.shape[0]
-        col = (batch,) + (1,) * (y.ndim - 1)  # per-sample scalar against y
         out = np.empty((len(times) - 1,) + y.shape)
 
         def fnp(t, arr):
             stats.f_evals += 1
-            if batched:
-                return f(t, Tensor(arr)).data
-            return f(t[0], Tensor(arr[0])).data[None]
+            return f(t, Tensor(arr)).data
 
         def at(b):
-            return f"t={t[b]:.6g}" + (f" in sample {b}" if batched else "")
+            return f"t={t[b]:.6g} in sample {b}"
 
         t = [times[0]] * batch
         h = [cfg.h_init] * batch
@@ -233,7 +230,7 @@ def dopri5_integrate_stats(f: Callable[[float | np.ndarray, Tensor], Tensor],
                     raise NumericError(f"step size underflow at {at(b)}")
             hv = np.array(h_try)
             tv = np.array(t)
-            hy = hv.reshape(col)
+            hy = hv[:, None, None]  # per-sample scalars against y
             k = [k1]
             for i in range(1, 6):
                 yi = y + hy * sum(a * kj for a, kj in zip(_DP_A[i], k))
@@ -244,7 +241,7 @@ def dopri5_integrate_stats(f: Callable[[float | np.ndarray, Tensor], Tensor],
             scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5))
             norms = np.sqrt(np.mean(((err / scale) ** 2).reshape(batch, -1),
                                     axis=1)).tolist()
-            accept = np.zeros(col, dtype=bool)
+            accept = np.zeros((batch, 1, 1), dtype=bool)
             dense = []  # (sample, grid index, theta) inside accepted steps
             for b in active:
                 norm = norms[b]
@@ -273,17 +270,15 @@ def dopri5_integrate_stats(f: Callable[[float | np.ndarray, Tensor], Tensor],
             if dense:
                 rows, idx, theta = (np.array(c) for c in zip(*dense))
                 w = _dense_weights(theta) * hv[rows][:, None]
-                wcol = (len(rows),) + (1,) * (y.ndim - 1)
                 out[idx - 1, rows] = y[rows] + sum(
-                    w[:, i].reshape(wcol) * k[i][rows]
+                    w[:, i, None, None] * k[i][rows]
                     for i in range(7) if _DP_DENSE[i].any())
             y = np.where(accept, y5, y)
             k1 = np.where(accept, k[6], k1)
     log.info("dopri5: %d systems, %d accepted and %d rejected steps, "
              "%d RHS calls", batch, stats.accepted, stats.rejected,
              stats.f_evals)
-    states = out if batched else out[:, 0]
-    return [Tensor(s) for s in states], stats
+    return [Tensor(s) for s in out], stats
 
 
 def ode_solve(de: Callable[[float, Tensor], Tensor], z0: Tensor, grid: TimeGrid,

@@ -108,10 +108,6 @@ class PowerBranchParams:
                                       for layer in self.thetas):
             raise ContractError("theta stack must be rectangular and non-empty")
 
-    @property
-    def order(self) -> int:
-        return len(self.thetas[0])
-
     @classmethod
     def create(cls, rng, latent_dim: int, order: int = 3, layers: int = 2,
                prefix: str = "branch") -> "PowerBranchParams":
@@ -265,9 +261,9 @@ def _reference_solve(op: np.ndarray, x: np.ndarray, t) -> np.ndarray:
     grid = TimeGrid(np.concatenate(([0.0], times)))
     op_t = Tensor(op)
     states, _ = dopri5_integrate_stats(lambda _t, y: ad.matmul(op_t, y),
-                                       Tensor(x[:, None]), grid,
+                                       Tensor(x[None, :, None]), grid,
                                        _REFERENCE_CFG)
-    traj = np.stack([s.data[:, 0] for s in states])
+    traj = np.stack([s.data[0, :, 0] for s in states])
     return traj if times.size > 1 else traj[0]
 
 

@@ -9,6 +9,7 @@ best validation epoch.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,16 +36,18 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be at least 1")
-        if self.learning_rate < 0:
-            raise ConfigurationError("learning_rate must be non-negative")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigurationError("learning_rate must be non-negative and "
+                                     f"finite, got {self.learning_rate}")
         if not (0 < self.decay_rate <= 1):
             raise ConfigurationError("decay_rate must lie in (0, 1]")
         if self.max_epochs < 1:
             raise ConfigurationError("max_epochs must be at least 1")
         if not (1 <= self.patience <= self.max_epochs):
             raise ConfigurationError("need 1 <= patience <= max_epochs")
-        if self.clip_norm <= 0:
-            raise ConfigurationError("clip_norm must be positive")
+        if not 0 < self.clip_norm < math.inf:
+            raise ConfigurationError(
+                f"clip_norm must be positive and finite, got {self.clip_norm}")
         if any(e < 0 for e in self.decay_epochs):
             raise ConfigurationError("decay epochs must be non-negative")
 

@@ -26,8 +26,8 @@ from aircast.figures import (diffusion_flux, render_diffusion_lines,
                              render_wind_heatmap)
 from aircast.graph import SensorGraph, scaled_laplacian
 from aircast.metrics import CITY_LEVELS, SUDDEN_CHANGE_DELTA, sudden_change_mask
-from aircast.model import (Model, ModelConfig, checkpoint_roundtrip,
-                           make_checkpoint)
+from aircast.model import (Model, ModelConfig, load_checkpoint, make_checkpoint,
+                           model_from_checkpoint, save_checkpoint)
 from aircast.odeint import (SolverConfig, TimeGrid, dopri5_integrate_stats,
                             fixed_step_integrate)
 from aircast.physics import (simulate_advection_reference,
@@ -52,9 +52,9 @@ def test_c1_adaptive_solver_accuracy():
     t0 = time.perf_counter()
     cfg = SolverConfig(rtol=1e-9, atol=1e-9)
 
-    states, _ = dopri5_integrate_stats(lambda t, z: ad.neg(z), Tensor([[1.0]]),
+    states, _ = dopri5_integrate_stats(lambda t, z: ad.neg(z), Tensor([[[1.0]]]),
                                        TimeGrid([0.0, 1.0]), cfg)
-    err_scalar = abs(states[-1].data[0, 0] - math.exp(-1.0))
+    err_scalar = abs(states[-1].data[0, 0, 0] - math.exp(-1.0))
     assert err_scalar < 1e-6
 
     rng = np.random.default_rng(42)
@@ -63,11 +63,11 @@ def test_c1_adaptive_solver_accuracy():
     op = Tensor(a)
     grid = TimeGrid([0.0, 0.6, 1.0])
     states, _ = dopri5_integrate_stats(lambda t, z: ad.matmul(op, z),
-                                       Tensor(x0), grid, cfg)
+                                       Tensor(x0[None]), grid, cfg)
     worst = 0.0
     for t, s in zip(grid.times[1:], states):
         oracle = scipy.linalg.expm(a * t) @ x0
-        worst = max(worst, float(np.max(np.abs(s.data - oracle))))
+        worst = max(worst, float(np.max(np.abs(s.data[0] - oracle))))
     assert worst < 1e-5
 
     _done("c1", t0, 1.0,
@@ -399,7 +399,9 @@ def test_c8_reproducible_training_and_checkpoints(tmp_path):
     for key in ckpt_a.arrays:
         np.testing.assert_array_equal(ckpt_a.arrays[key], ckpt_b.arrays[key])
 
-    restored = checkpoint_roundtrip(model_a, tmp_path / "model.npz")
+    save_checkpoint(make_checkpoint(model_a), tmp_path / "model.npz")
+    restored = model_from_checkpoint(load_checkpoint(tmp_path / "model.npz"),
+                                     model_a.graph, solver=model_a.solver)
     sample = split.test[0]
     np.testing.assert_array_equal(model_a.forward_sample(sample),
                                   restored.forward_sample(sample))

@@ -786,6 +786,73 @@ def test_predict_rejects_non_finite_checkpoint_numbers(pipeline, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("epoch", [
+    10**12, -10**12,
+    # 9999-12-31T00:00 is a datetime, but the dataset's 64th step is not
+    int((datetime(9999, 12, 31) - datetime(1970, 1, 1)).total_seconds()),
+], ids=["far-future", "far-past", "last-step"])
+def test_baseline_rejects_out_of_range_start_epoch(pipeline, tmp_path, capsys,
+                                                   epoch):
+    bad = tmp_path / "bad.npz"
+    rewrite_metadata(pipeline["data"], bad,
+                     lambda meta: {**meta, "start_epoch": epoch})
+    with pytest.raises(FormatError) as info:
+        load_dataset(bad)
+    message = f"{bad}: start_epoch {epoch} is out of the datetime range"
+    assert str(info.value) == message
+    out = tmp_path / "out.csv"
+    assert cli_dispatch(["baseline", "--method", "ha", "--data", str(bad),
+                         "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target, edit, field", [
+    ("ckpt", lambda meta: {**meta, "norm_mean": 10**400}, "'norm_mean'"),
+    ("ckpt", lambda meta: {**meta, "config": {
+        **meta["config"], "diffusion_coeff_init": 10**400}},
+     "'diffusion_coeff_init'"),
+    ("data", lambda meta: {**meta, "max_distance_km": 10**400},
+     "'max_distance_km'"),
+], ids=["norm_mean", "diffusion_coeff_init", "max_distance_km"])
+def test_integers_beyond_float_range_are_format_errors(pipeline, tmp_path,
+                                                       capsys, target, edit,
+                                                       field):
+    bad = tmp_path / "bad.npz"
+    rewrite_metadata(pipeline[target], bad, edit)
+    with pytest.raises(FormatError) as info:
+        (load_checkpoint if target == "ckpt" else load_dataset)(bad)
+    assert str(info.value).startswith(f"{bad}: ")
+    assert field in str(info.value)
+    paths = {"ckpt": pipeline["ckpt"], "data": pipeline["data"], target: bad}
+    out = tmp_path / "p.csv"
+    assert cli_dispatch(["predict", "--checkpoint", str(paths["ckpt"]),
+                         "--data", str(paths["data"]), "--horizon", "24h",
+                         "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: " in err and field in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stored", [[0, 1, 2], []], ids=["zero", "empty"])
+def test_predict_rejects_bad_checkpoint_split_ratio(pipeline, tmp_path, capsys,
+                                                    stored):
+    ckpt = tmp_path / "ckpt.npz"
+    rewrite_metadata(pipeline["ckpt"], ckpt,
+                     lambda meta: {**meta, "split_ratio": stored})
+    message = (f"{ckpt}: ratio must be three positive whole numbers, "
+               f"got {tuple(stored)}")
+    with pytest.raises(FormatError) as info:
+        load_checkpoint(ckpt)
+    assert str(info.value) == message
+    out = tmp_path / "p.csv"
+    assert cli_dispatch(["predict", "--checkpoint", str(ckpt), "--data",
+                         str(pipeline["data"]), "--horizon", "24h", "--out",
+                         str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _with_nan(a):
     a = a.copy()
     a[5, 1] = np.nan

@@ -1,6 +1,7 @@
 """Model-layer tests: GRU cell, latent head, decoder, batched forward pass,
 checkpoint persistence, and gradient correctness per parameter group."""
 
+import json
 from datetime import datetime, timezone
 
 import numpy as np
@@ -14,8 +15,7 @@ from aircast.errors import (ConfigurationError, ContractError, DataError,
                             DimensionError, FormatError)
 from aircast.odeint import SolverConfig
 from aircast.model import (DecoderParams, GRUParams, LatentHeadParams, Model,
-                           ModelCheckpoint, ModelConfig, checkpoint_roundtrip,
-                           decode_trajectory, encode_history, gru_step,
+                           ModelCheckpoint, ModelConfig, decode_trajectory, encode_history, gru_step,
                            latent_head, load_checkpoint, make_checkpoint,
                            model_from_checkpoint, reparameterize,
                            save_checkpoint)
@@ -343,7 +343,9 @@ def test_finite_difference_every_parameter_group(rng):
 def test_checkpoint_roundtrip_bitwise(tmp_path, rng):
     stats = NormStats(mean=55.0, std=30.0)
     model = Model(toy_graph(3), tiny_config(), stats=stats)
-    restored = checkpoint_roundtrip(model, tmp_path / "ckpt.npz")
+    save_checkpoint(make_checkpoint(model), tmp_path / "ckpt.npz")
+    restored = model_from_checkpoint(load_checkpoint(tmp_path / "ckpt.npz"),
+                                     model.graph, solver=model.solver)
     for pa, pb in zip(model.parameters(), restored.parameters()):
         assert pa.name == pb.name
         np.testing.assert_array_equal(pa.data, pb.data)
@@ -362,6 +364,24 @@ def test_checkpoint_preserves_split_ratio(tmp_path):
     assert ckpt.split_ratio == (3, 1, 6)
     assert ckpt.config == model.config
     assert ckpt.n_stations == 3
+
+
+def test_checkpoint_split_ratio_is_never_none(tmp_path):
+    # make_checkpoint's default writes 7:1:2; a null or absent field reads
+    # as 7:1:2
+    model = Model(toy_graph(3), tiny_config(), stats=NormStats(50.0, 10.0))
+    good = tmp_path / "c.npz"
+    save_checkpoint(make_checkpoint(model), good)
+    with np.load(good) as archive:
+        meta = json.loads(str(archive["_meta"]))
+    assert list(meta)[0] == "format"
+    assert meta["split_ratio"] == [7, 1, 2]
+    assert load_checkpoint(good).split_ratio == (7, 1, 2)
+    for edit in (lambda m: {**m, "split_ratio": None},
+                 lambda m: {k: v for k, v in m.items() if k != "split_ratio"}):
+        bad = tmp_path / "bad.npz"
+        rewrite_metadata(good, bad, edit)
+        assert load_checkpoint(bad).split_ratio == (7, 1, 2)
 
 
 def test_checkpoint_requires_stats():

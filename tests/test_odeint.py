@@ -7,7 +7,8 @@ import scipy.linalg
 
 from aircast import autodiff as ad
 from aircast.autodiff import Parameter, Tensor, backward, clear_tape, no_grad
-from aircast.errors import ConfigurationError, ContractError, NumericError
+from aircast.errors import (ConfigurationError, ContractError, DimensionError,
+                            NumericError)
 from aircast.odeint import (SolverConfig, TimeGrid, dopri5_integrate_stats,
                             fixed_step_integrate, ode_solve)
 
@@ -42,10 +43,10 @@ def test_solver_config_validation():
 
 
 def test_dopri5_exponential_decay():
-    states, _ = dopri5_integrate_stats(decay, Tensor([[1.0]]),
+    states, _ = dopri5_integrate_stats(decay, Tensor([[[1.0]]]),
                                        TimeGrid([0.0, 1.0]),
                                        SolverConfig(rtol=1e-8, atol=1e-8))
-    assert states[-1].data[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-6)
+    assert states[-1].data[0, 0, 0] == pytest.approx(np.exp(-1.0), abs=1e-6)
 
 
 def test_dopri5_matches_matrix_exponential(rng):
@@ -54,11 +55,11 @@ def test_dopri5_matches_matrix_exponential(rng):
     op = Tensor(a)
     grid = TimeGrid([0.0, 0.7, 1.3])
     states, _ = dopri5_integrate_stats(lambda t, z: ad.matmul(op, z),
-                                       Tensor(x0), grid,
+                                       Tensor(x0[None]), grid,
                                        SolverConfig(rtol=1e-9, atol=1e-9))
     for t, s in zip(grid.times[1:], states):
         expected = scipy.linalg.expm(a * t) @ x0
-        np.testing.assert_allclose(s.data, expected, atol=1e-5)
+        np.testing.assert_allclose(s.data[0], expected, atol=1e-5)
 
 
 def test_dopri5_harmonic_oscillator_energy():
@@ -66,9 +67,9 @@ def test_dopri5_harmonic_oscillator_energy():
     rot = Tensor(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     grid = TimeGrid([0.0, 2.0 * np.pi])
     states, _ = dopri5_integrate_stats(lambda t, z: ad.matmul(rot, z),
-                                       Tensor([[1.0], [0.0]]), grid,
+                                       Tensor([[[1.0], [0.0]]]), grid,
                                        SolverConfig(rtol=1e-9, atol=1e-9))
-    np.testing.assert_allclose(states[-1].data, [[1.0], [0.0]], atol=1e-6)
+    np.testing.assert_allclose(states[-1].data[0], [[1.0], [0.0]], atol=1e-6)
 
 
 def test_rk4_two_substeps_known_error():
@@ -127,19 +128,19 @@ def test_dopri5_lands_exactly_on_grid_times():
     seen = []
 
     def f(t, z):
-        seen.append(t)
+        seen.append(t.item())  # the time of the batch's one sample
         return ad.neg(z)
 
     grid = TimeGrid([0.0, 0.5, 1.25, 2.0])
-    states, _ = dopri5_integrate_stats(f, Tensor([[1.0]]), grid, cfg)
+    states, _ = dopri5_integrate_stats(f, Tensor([[[1.0]]]), grid, cfg)
     assert seen[-1] == 2.0 and max(seen) == 2.0
     for t, state in zip(grid.times[1:], states):
         exact = np.exp(-t)
-        assert abs(state.data[0, 0] - exact) <= cfg.atol + cfg.rtol * exact
+        assert abs(state.data[0, 0, 0] - exact) <= cfg.atol + cfg.rtol * exact
 
 
 def test_dopri5_step_statistics():
-    _, stats = dopri5_integrate_stats(decay, Tensor([[1.0]]),
+    _, stats = dopri5_integrate_stats(decay, Tensor([[[1.0]]]),
                                       TimeGrid([0.0, 1.0]))
     assert stats.accepted >= 1
     # 6 new stages per attempt: the first is the last of the step before
@@ -153,14 +154,15 @@ def test_dopri5_output_times_add_no_steps(rng):
     cfg = SolverConfig(rtol=1e-6, atol=1e-6)
     fine = TimeGrid(np.linspace(0.0, 2.0, 52))  # 50 interior times
     fine_states, fine_stats = dopri5_integrate_stats(
-        lambda t, z: ad.matmul(op, z), Tensor(x0), fine, cfg)
+        lambda t, z: ad.matmul(op, z), Tensor(x0[None]), fine, cfg)
     end_states, end_stats = dopri5_integrate_stats(
-        lambda t, z: ad.matmul(op, z), Tensor(x0), TimeGrid([0.0, 2.0]), cfg)
+        lambda t, z: ad.matmul(op, z), Tensor(x0[None]), TimeGrid([0.0, 2.0]),
+        cfg)
     assert fine_stats == end_stats
     assert fine_stats.accepted < 50
     np.testing.assert_array_equal(fine_states[-1].data, end_states[0].data)
     for t, state in zip(fine.times[1:], fine_states):
-        np.testing.assert_allclose(state.data, scipy.linalg.expm(a * t) @ x0,
+        np.testing.assert_allclose(state.data[0], scipy.linalg.expm(a * t) @ x0,
                                    rtol=0, atol=1e-5)
 
 
@@ -176,10 +178,10 @@ def test_dopri5_dense_output_is_fourth_order(rng):
     mean_steps, errors = [], []
     for tol in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
         states, stats = dopri5_integrate_stats(
-            lambda t, z: ad.matmul(op, z), Tensor(x0), grid,
+            lambda t, z: ad.matmul(op, z), Tensor(x0[None]), grid,
             SolverConfig(rtol=tol, atol=tol))
         mean_steps.append(2.0 / stats.accepted)
-        errors.append(max(np.abs(s.data - e).max()
+        errors.append(max(np.abs(s.data[0] - e).max()
                           for s, e in zip(states[:-1], exact)))
         assert errors[-1] <= 10 * tol
     slope, _ = np.polyfit(np.log(mean_steps), np.log(errors), 1)
@@ -191,15 +193,23 @@ def test_dopri5_rejects_steps_on_stiff_onset():
     cfg = SolverConfig(rtol=1e-10, atol=1e-10, h_init=0.5)
     stiff = Tensor(np.array([[-80.0]]))
     _, stats = dopri5_integrate_stats(lambda t, z: ad.matmul(stiff, z),
-                                      Tensor([[1.0]]), TimeGrid([0.0, 1.0]), cfg)
+                                      Tensor([[[1.0]]]), TimeGrid([0.0, 1.0]), cfg)
     assert stats.rejected >= 1
 
 
 def test_dopri5_step_budget_error():
     cfg = SolverConfig(max_steps=3, rtol=1e-12, atol=1e-14, h_init=1e-3)
     with pytest.raises(NumericError, match="budget"):
-        dopri5_integrate_stats(decay, Tensor([[1.0]]), TimeGrid([0.0, 100.0]),
+        dopri5_integrate_stats(decay, Tensor([[[1.0]]]), TimeGrid([0.0, 100.0]),
                                cfg)
+
+
+def test_dopri5_rejects_state_without_batch_axis():
+    with pytest.raises(DimensionError, match=r"\(batch, n, latent\), got \(1, 1\)"):
+        dopri5_integrate_stats(decay, Tensor([[1.0]]), TimeGrid([0.0, 1.0]))
+    with pytest.raises(DimensionError, match=r"got \(1, 1, 1, 1\)"):
+        dopri5_integrate_stats(decay, Tensor(np.ones((1, 1, 1, 1))),
+                               TimeGrid([0.0, 1.0]))
 
 
 def decoupled_decay(rates):
@@ -226,11 +236,12 @@ def test_dopri5_batch_is_per_sample_solo_runs(rng):
 
     states, stats = dopri5_integrate_stats(f, Tensor(z0), grid, cfg)
     assert all(np.shape(t) == (2,) for t in times_seen)
-    solo = [dopri5_integrate_stats(decoupled_decay(rates[b]), Tensor(z0[b]),
-                                   grid, cfg) for b in range(2)]
+    solo = [dopri5_integrate_stats(decoupled_decay(rates[b]),
+                                   Tensor(z0[b:b + 1]), grid, cfg)
+            for b in range(2)]
     for b, (solo_states, _) in enumerate(solo):
         for batched, alone in zip(states, solo_states):
-            np.testing.assert_array_equal(batched.data[b], alone.data)
+            np.testing.assert_array_equal(batched.data[b], alone.data[0])
     solo_stats = [st for _, st in solo]
     assert solo_stats[1].rejected >= 1
     assert solo_stats[1].accepted > 3 * solo_stats[0].accepted
@@ -261,13 +272,14 @@ def test_dopri5_first_stage_carry_is_per_sample(rng):
     cfg = SolverConfig(rtol=1e-6, atol=1e-6, h_init=1e-4)
     states, stats = dopri5_integrate_stats(logistic_growth(rates), Tensor(z0),
                                            grid, cfg)
-    solo = [dopri5_integrate_stats(logistic_growth(rates[b]), Tensor(z0[b]),
-                                   grid, cfg) for b in range(2)]
+    solo = [dopri5_integrate_stats(logistic_growth(rates[b]),
+                                   Tensor(z0[b:b + 1]), grid, cfg)
+            for b in range(2)]
     assert solo[0][1].rejected == 0
     assert solo[1][1].rejected >= 1
     for b, (solo_states, _) in enumerate(solo):
         for batched, alone in zip(states, solo_states):
-            np.testing.assert_array_equal(batched.data[b], alone.data)
+            np.testing.assert_array_equal(batched.data[b], alone.data[0])
     assert stats.rejected == solo[1][1].rejected
 
 
@@ -276,7 +288,7 @@ def test_dopri5_step_budget_is_per_sample(rng):
     mild = rng.uniform(0.1, 1.0, (n, 1))
     z0 = np.ones((2, n, 1))
     grid = TimeGrid([0.0, 2.0])
-    _, alone = dopri5_integrate_stats(decoupled_decay(mild), Tensor(z0[0]),
+    _, alone = dopri5_integrate_stats(decoupled_decay(mild), Tensor(z0[:1]),
                                       grid, SolverConfig())
     # room for one mild sample's steps, not for the sum of two
     cfg = SolverConfig(max_steps=alone.accepted + alone.rejected + 1)
@@ -316,7 +328,7 @@ def test_ode_solve_train_gradient_matches_fd(rng):
 
 def test_ode_solve_infer_not_recorded(rng):
     w = Parameter(rng.standard_normal((2, 2)) * 0.3, "w")
-    z0 = Tensor(rng.standard_normal((2, 1)))
+    z0 = Tensor(rng.standard_normal((2, 1))[None])
     with no_grad():
         traj = ode_solve(lambda t, z: ad.matmul(w, z), z0, TimeGrid.unit(2),
                          mode="infer")
@@ -335,7 +347,7 @@ def test_train_and_infer_agree_on_smooth_problem(rng):
     def f(t, z):
         return ad.matmul(op, z)
 
-    z0 = Tensor(rng.standard_normal((3, 1)))
+    z0 = Tensor(rng.standard_normal((3, 1))[None])
     with no_grad():
         train_traj = ode_solve(f, z0, TimeGrid.unit(3), mode="train")
         infer_traj = ode_solve(f, z0, TimeGrid.unit(3),

@@ -1,6 +1,8 @@
 """Training tests: loss, schedule, optimizer arithmetic, stopping rule, and
 reproducibility of the full loop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from aircast.autodiff import Parameter, Tensor, backward, clear_tape
 from aircast.data import NormStats, chronological_split, make_windows
 from aircast.errors import ConfigurationError, ContractError, NumericError
 from aircast.model import Model, ModelConfig
+from aircast.odeint import SolverConfig
 from aircast.training import (Adam, TrainConfig, _epoch_eval, clip_gradients,
                               lr_schedule, mae_loss, train_loop)
 
@@ -34,6 +37,17 @@ def test_train_config_validation():
         TrainConfig(patience=5, max_epochs=4)
     with pytest.raises(ConfigurationError):
         TrainConfig(clip_norm=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("cls, field", [
+    (SolverConfig, "rtol"), (SolverConfig, "atol"), (SolverConfig, "h_init"),
+    (TrainConfig, "learning_rate"), (TrainConfig, "clip_norm"),
+], ids=["rtol", "atol", "h_init", "learning_rate", "clip_norm"])
+def test_configs_reject_non_finite_numbers(cls, field, value):
+    with pytest.raises(ConfigurationError,
+                       match=f"^{field} must be .*finite, got {value}$"):
+        cls(**{field: value})
 
 
 def test_mae_loss_hand_value():
