@@ -429,7 +429,11 @@ def load_container(path, fmt: str, schema: dict) -> tuple[dict, dict]:
     field in ``schema`` must have its kind (see ``has_type``), and a missing
     field reads as None. Anything else is a FormatError naming the file."""
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        archive = np.load(path, allow_pickle=False)
+        if isinstance(archive, np.ndarray):  # a plain .npy file
+            raise FormatError(f"{path}: not a readable container "
+                              "(an .npy array, not an .npz archive)")
+        with archive:
             if "_meta" not in archive:
                 raise FormatError(f"{path}: missing metadata entry")
             try:
@@ -437,7 +441,7 @@ def load_container(path, fmt: str, schema: dict) -> tuple[dict, dict]:
             except json.JSONDecodeError:
                 raise FormatError(f"{path}: corrupt metadata") from None
             arrays = {key: archive[key] for key in archive.files if key != "_meta"}
-    except (zipfile.BadZipFile, OSError, ValueError) as e:
+    except (zipfile.BadZipFile, OSError, ValueError, EOFError) as e:
         raise FormatError(f"{path}: not a readable container ({e})") from None
     if not isinstance(meta, dict):
         raise FormatError(f"{path}: metadata is not a JSON object")

@@ -285,11 +285,11 @@ def ode_solve(de: Callable[[float, Tensor], Tensor], z0: Tensor, grid: TimeGrid,
               cfg: SolverConfig = SolverConfig(), mode: str = "infer") -> Tensor:
     """Latent trajectory stacked as (steps, *state_shape).
 
-    Training integrates with fixed-step RK4 at two substeps per interval so
-    the solve stays differentiable; inference uses the adaptive integrator.
+    Training integrates with one fixed RK4 step per grid interval so the
+    solve stays differentiable; inference uses the adaptive integrator.
     """
     if mode == "train":
-        states = fixed_step_integrate(de, z0, grid, method="rk4", substeps=2)
+        states = fixed_step_integrate(de, z0, grid, method="rk4")
     elif mode == "infer":
         states, _ = dopri5_integrate_stats(de, z0, grid, cfg)
     else:

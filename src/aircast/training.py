@@ -136,7 +136,9 @@ def train_loop(model: Model, split: DatasetSplit, cfg: TrainConfig,
     """Train to best-validation parameters.
 
     Returns the checkpoint of the best epoch (the model is left holding those
-    parameters) and the per-epoch log rows. Training stops once
+    parameters) and the per-epoch log rows. A row also holds the epoch's
+    mean pre-clip gradient norm and the diffusion coefficient after its last
+    step. Training stops once
     ``cfg.patience`` epochs pass without a strictly lower validation MAE.
     Epochs are numbered from 1 in the log; a fixed seed reproduces the run
     bitwise.
@@ -156,20 +158,22 @@ def train_loop(model: Model, split: DatasetSplit, cfg: TrainConfig,
     if log_path is not None:
         log_file = open(log_path, "w", newline="", encoding="utf-8")
         writer = csv.writer(log_file)
-        writer.writerow(["epoch", "lr", "train_mae", "val_mae"])
+        writer.writerow(["epoch", "lr", "train_mae", "val_mae", "grad_norm",
+                         "diffusion_coeff"])
     try:
         for epoch in range(1, cfg.max_epochs + 1):
             lr = lr_schedule(epoch, cfg)
             order = shuffle_rng.permutation(len(split.train))
             total_abs = 0.0
             total_count = 0
+            norms = []
             for batch_idx in _batches(list(order), cfg.batch_size):
                 batch = [split.train[i] for i in batch_idx]
                 pred = model.forward_batch(batch, "train", eps_rng)
                 truth = np.concatenate([s.x_future for s in batch], axis=1)
                 loss = mae_loss(pred, truth)
                 ad.backward(loss)
-                clip_gradients(model.parameters(), cfg.clip_norm)
+                norms.append(clip_gradients(model.parameters(), cfg.clip_norm))
                 opt.step(lr)
                 with no_grad():
                     coeff = model.de.diffusion_coefficient().item()
@@ -180,11 +184,14 @@ def train_loop(model: Model, split: DatasetSplit, cfg: TrainConfig,
                 total_count += truth.size
             train_mae = total_abs / total_count
             val_mae = _epoch_eval(model, split.val, cfg.batch_size)
+            grad_norm = sum(norms) / len(norms)
             row = {"epoch": epoch, "lr": lr, "train_mae": train_mae,
-                   "val_mae": val_mae}
+                   "val_mae": val_mae, "grad_norm": grad_norm,
+                   "diffusion_coeff": coeff}
             rows.append(row)
             if writer is not None:
-                writer.writerow([epoch, repr(lr), repr(train_mae), repr(val_mae)])
+                writer.writerow([epoch, repr(lr), repr(train_mae), repr(val_mae),
+                                 repr(grad_norm), repr(coeff)])
                 log_file.flush()
             if val_mae < best_val:  # strictly: a tie keeps the earlier epoch
                 best_val, best_epoch = val_mae, epoch

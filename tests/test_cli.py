@@ -147,7 +147,8 @@ def test_ingest_logs_what_it_did(tmp_path, capsys, caplog):
 
 def test_train_artifacts(pipeline):
     header, rows = read_csv_rows(pipeline["log"])
-    assert header == ["epoch", "lr", "train_mae", "val_mae"]
+    assert header == ["epoch", "lr", "train_mae", "val_mae", "grad_norm",
+                      "diffusion_coeff"]
     assert [r[0] for r in rows] == ["1", "2"]
     assert all(float(r[3]) > 0 for r in rows)
     assert pipeline["ckpt"].exists()
@@ -850,6 +851,25 @@ def test_predict_rejects_bad_checkpoint_split_ratio(pipeline, tmp_path, capsys,
                          str(pipeline["data"]), "--horizon", "24h", "--out",
                          str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["npy", "empty"])
+@pytest.mark.parametrize("command", ["baseline", "predict"])
+def test_non_container_file_exits_2(pipeline, tmp_path, capsys, command, kind):
+    bad = tmp_path / f"x.{kind}"
+    if kind == "npy":
+        np.save(bad, np.arange(3.0))
+    else:
+        bad.write_bytes(b"")
+    out = tmp_path / "out.csv"
+    if command == "baseline":
+        argv = ["baseline", "--method", "ha", "--data", str(bad)]
+    else:
+        argv = ["predict", "--checkpoint", str(bad), "--data",
+                str(pipeline["data"]), "--horizon", "24h"]
+    assert cli_dispatch(argv + ["--out", str(out)]) == 2
+    assert f"{bad}: not a readable container" in capsys.readouterr().err
     assert not out.exists()
 
 

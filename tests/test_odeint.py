@@ -326,6 +326,23 @@ def test_ode_solve_train_gradient_matches_fd(rng):
     assert ad.finite_diff_check(loss, [w]) < 1e-6
 
 
+def test_ode_solve_train_is_one_rk4_step_per_interval(rng):
+    # training pays 4 RHS calls per grid interval, one RK4 step, no substeps
+    op = Tensor(rng.standard_normal((3, 3)) * 0.3)
+    z0 = Tensor(rng.standard_normal((2, 3, 1)))
+    calls = []
+
+    def f(t, z):
+        calls.append(t)
+        return ad.matmul(op, z)
+
+    grid = TimeGrid([0.0, 1.0, 2.5, 3.0, 5.0])
+    traj = ode_solve(f, z0, grid, mode="train")
+    assert len(calls) == 4 * (grid.times.size - 1)
+    states = fixed_step_integrate(f, z0, grid, method="rk4")
+    np.testing.assert_array_equal(traj.data, np.stack([s.data for s in states]))
+
+
 def test_ode_solve_infer_not_recorded(rng):
     w = Parameter(rng.standard_normal((2, 2)) * 0.3, "w")
     z0 = Tensor(rng.standard_normal((2, 1))[None])

@@ -194,11 +194,34 @@ def test_train_loop_runs_and_logs(tmp_path):
     assert all(r["val_mae"] > 0 for r in rows)
     assert ckpt.split_ratio == (7, 1, 2)
     lines = log.read_text().strip().splitlines()
-    assert lines[0] == "epoch,lr,train_mae,val_mae"
+    assert lines[0] == "epoch,lr,train_mae,val_mae,grad_norm,diffusion_coeff"
     assert len(lines) == 4
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[2]) == rows[0]["train_mae"]  # repr() roundtrips exactly
+    assert float(first[4]) == rows[0]["grad_norm"] > 0
+    assert float(first[5]) == rows[0]["diffusion_coeff"] > 0
+
+
+def test_train_loop_logs_grad_norm_mean_and_last_diffusion_coeff(monkeypatch):
+    # 25 train windows at batch 8: four clipped steps per epoch
+    norms = []
+
+    def recording_clip(params, max_norm):
+        norms.append(clip_gradients(params, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(training, "clip_gradients", recording_clip)
+    model = tiny_model()
+    split = tiny_split()
+    cfg = TrainConfig(batch_size=8, learning_rate=1e-3, max_epochs=1,
+                      patience=1, seed=1)
+    _, rows = train_loop(model, split, cfg)
+    assert len(norms) == math.ceil(len(split.train) / 8) > 1
+    assert rows[0]["grad_norm"] == sum(norms) / len(norms)
+    # one epoch is the best epoch, so the model keeps its last step's values
+    with ad.no_grad():
+        assert rows[0]["diffusion_coeff"] == model.de.diffusion_coefficient().item()
 
 
 def test_train_loop_leaves_tape_empty():
