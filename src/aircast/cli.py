@@ -43,6 +43,16 @@ SEED_ENV = "AQC_SEED"
 SPARSE_SPLIT = (3, 1, 6)
 CONFIG_SECTIONS = {"model": ModelConfig, "train": TrainConfig,
                    "solver": SolverConfig}
+# Flags that only one mode reads: flag -> (the option that sets the mode, the
+# value it must have, or None where it need only be given). Anywhere else the
+# flag would be ignored, so it is a usage error.
+MODE_FLAGS = {
+    "sudden_change": ("city", None),
+    "city": ("sudden_change", None),
+    "velocities": ("mode", "advection"),
+    "wind": ("type", "wind-heatmap"),
+    "source": ("type", "diffusion-lines"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -445,6 +455,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _usage_error(parser, message: str) -> int:
+    parser.print_usage(sys.stderr)
+    print(f"aircast: error: {message}", file=sys.stderr)
+    return 1
+
+
 def cli_dispatch(argv=None) -> int:
     parser = build_parser()
     try:
@@ -452,13 +468,14 @@ def cli_dispatch(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
-        print("aircast: error: a command is required", file=sys.stderr)
-        return 1
-    if getattr(args, "sudden_change", False) and not args.city:
-        parser.print_usage(sys.stderr)
-        print("aircast: error: --sudden-change requires --city", file=sys.stderr)
-        return 1
+        return _usage_error(parser, "a command is required")
+    for flag, (option, value) in MODE_FLAGS.items():
+        mode = getattr(args, option, None)
+        read = mode not in (None, False) if value is None else mode == value
+        if getattr(args, flag, None) not in (None, False) and not read:
+            need = option if value is None else f"{option} {value}"
+            return _usage_error(
+                parser, f"--{flag} requires --{need}".replace("_", "-"))
     try:
         return args.func(args)
     except (AircastError, OSError) as e:

@@ -292,8 +292,8 @@ def window_count(series: Series3h, history_steps: int,
     return series.steps - total + 1
 
 
-def make_windows(series: Series3h, history_steps: int = 24,
-                 horizon_steps: int = 24, stride: int = 1,
+def make_windows(series: Series3h, history_steps: int,
+                 horizon_steps: int, stride: int = 1,
                  first: int = 0) -> list[WindowSample]:
     """Slide (history + horizon)-step windows over the 3-hour series,
     starting at step ``first`` and moving ``stride`` steps at a time.
@@ -430,9 +430,15 @@ def load_container(path, fmt: str, schema: dict) -> tuple[dict, dict]:
     field reads as None. Anything else is a FormatError naming the file."""
     try:
         archive = np.load(path, allow_pickle=False)
-        if isinstance(archive, np.ndarray):  # a plain .npy file
-            raise FormatError(f"{path}: not a readable container "
-                              "(an .npy array, not an .npz archive)")
+    except ValueError:  # neither zip nor .npy; numpy would advise unpickling
+        raise FormatError(f"{path}: not a readable container "
+                          "(not an .npz archive)") from None
+    except (zipfile.BadZipFile, OSError, EOFError) as e:
+        raise FormatError(f"{path}: not a readable container ({e})") from None
+    if isinstance(archive, np.ndarray):  # a plain .npy file
+        raise FormatError(f"{path}: not a readable container "
+                          "(an .npy array, not an .npz archive)")
+    try:
         with archive:
             if "_meta" not in archive:
                 raise FormatError(f"{path}: missing metadata entry")

@@ -395,8 +395,7 @@ def load_checkpoint(path) -> ModelCheckpoint:
         raise FormatError(f"{path}: {e}") from None
 
 
-def model_from_checkpoint(ckpt: ModelCheckpoint, graph: SensorGraph,
-                          solver: SolverConfig | None = None) -> Model:
+def model_from_checkpoint(ckpt: ModelCheckpoint, graph: SensorGraph) -> Model:
     """Rebuild a model and load parameters, verifying every array shape and
     that the stored distance Laplacian is the one the graph gives."""
     saved_lap = ckpt.arrays.get(_LAPLACIAN_KEY)
@@ -408,7 +407,7 @@ def model_from_checkpoint(ckpt: ModelCheckpoint, graph: SensorGraph,
             f"graph has {graph.n_stations} (array {_LAPLACIAN_KEY!r} is "
             f"{saved_lap.shape})")
     model = Model(graph, ckpt.config,
-                  stats=NormStats(ckpt.norm_mean, ckpt.norm_std), solver=solver)
+                  stats=NormStats(ckpt.norm_mean, ckpt.norm_std))
     rebuilt = model.dist_lap.matrix
     if saved_lap.shape != rebuilt.shape:
         raise DimensionError(

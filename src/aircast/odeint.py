@@ -92,8 +92,8 @@ def _rk4_step(f, t, z, h):
 
 def fixed_step_integrate(f: Callable[[float, Tensor], Tensor], z0: Tensor,
                          grid: TimeGrid, method: str = "rk4",
-                         substeps: int = 1) -> list[Tensor]:
-    """Integrate dz/dt = f(t, z) and return states at t_1..t_end.
+                         substeps: int = 1) -> Tensor:
+    """Integrate dz/dt = f(t, z): the (steps, *state) states at t_1..t_end.
 
     Each grid interval is covered by `substeps` equal steps. Gradients flow
     through the unrolled update, so z0 and any parameter used by f receive
@@ -118,7 +118,7 @@ def fixed_step_integrate(f: Callable[[float, Tensor], Tensor], z0: Tensor,
                     f"non-finite state in interval {i + 1}, substep {s + 1}: {e}"
                 ) from None
         states.append(z)
-    return states
+    return stack(states, axis=0)
 
 
 # Dormand-Prince 5(4) tableau. Stage 7 is evaluated at t + h on the 5th-order
@@ -169,20 +169,23 @@ def _dense_weights(theta: np.ndarray) -> np.ndarray:
 def dopri5_integrate_stats(f: Callable[[np.ndarray, Tensor], Tensor],
                            z0: Tensor, grid: TimeGrid,
                            cfg: SolverConfig = SolverConfig()
-                           ) -> tuple[list[Tensor], IntegrationStats]:
-    """States at t_1..t_end from adaptive Dormand-Prince 5(4), with step
-    statistics. Not differentiable.
+                           ) -> tuple[Tensor, IntegrationStats]:
+    """(steps, batch, n, latent) states at t_1..t_end from adaptive
+    Dormand-Prince 5(4), and step statistics. Not differentiable.
 
     The state (batch, n, latent) is `batch` independent systems; any other
     shape is a DimensionError. Each system has its own time, step size,
-    step budget and accept/reject decision. Its error norm per attempt is
-    the RMS over that system's components of
+    step budget and accept/reject decision; the controller holds them in
+    (batch,) arrays and decides by masks over the batch. Its error norm per
+    attempt is the RMS over that system's components of
     err_c / (atol + rtol * max(|z_c|, |z5_c|)); a step is accepted when the
     norm is at most 1 and the next step is h * clamp(SAFETY * norm^(-1/5),
-    FACTOR_MIN, FACTOR_MAX). Steps are clipped only at the last grid time,
-    which each system lands on exactly. Interior grid times do not shorten
-    a step: a grid time inside an accepted step (t_old, t_new] gets the
-    4th-order continuous extension built from that step's stages (dense
+    FACTOR_MIN, FACTOR_MAX). norm^(-1/5) is Python's pow, one sample at a
+    time: numpy's power differs from it in the last bit on some inputs,
+    which would change the steps. Steps are clipped only at the last grid
+    time, which each system lands on exactly. Interior grid times do not
+    shorten a step: a grid time inside an accepted step (t_old, t_new] gets
+    the 4th-order continuous extension built from that step's stages (dense
     output), or the 5th-order solution itself when it equals t_new. Each
     sample therefore takes the steps it would take in a batch of one.
 
@@ -194,18 +197,19 @@ def dopri5_integrate_stats(f: Callable[[np.ndarray, Tensor], Tensor],
     array of per-sample times.
     `accepted` and `rejected` sum over samples; `f_evals` counts calls of f,
     6 per attempt plus the initial one. Logs the statistics at INFO through
-    the `aircast.odeint` logger.
+    the `aircast.odeint` logger. An error names the lowest offending sample,
+    a spent step budget before an underflow.
     """
     if z0.data.ndim != 3:
         raise DimensionError(
             f"dopri5 state must be (batch, n, latent), got {z0.shape}")
     stats = IntegrationStats()
-    times = [float(t) for t in grid.times]
+    times = grid.times
     end = times[-1]
     with no_grad():
         y = np.array(z0.data, dtype=np.float64, copy=True)
         batch = y.shape[0]
-        out = np.empty((len(times) - 1,) + y.shape)
+        out = np.empty((times.size - 1,) + y.shape)
 
         def fnp(t, arr):
             stats.f_evals += 1
@@ -214,84 +218,74 @@ def dopri5_integrate_stats(f: Callable[[np.ndarray, Tensor], Tensor],
         def at(b):
             return f"t={t[b]:.6g} in sample {b}"
 
-        t = [times[0]] * batch
-        h = [cfg.h_init] * batch
-        steps = [0] * batch
-        nxt = [1] * batch  # index of each sample's next grid time
-        k1 = fnp(np.array(t), y)
-        while active := [b for b in range(batch) if nxt[b] < len(times)]:
-            h_try = [0.0] * batch
-            for b in active:
-                if steps[b] >= cfg.max_steps:
+        # t and h are replaced, never written in place: f may keep a t
+        t = np.full(batch, times[0])
+        h = np.full(batch, float(cfg.h_init))
+        steps = np.zeros(batch, dtype=int)
+        k1 = fnp(t, y)
+        while (active := t < end).any():
+            hv = np.where(active, np.minimum(h, end - t), 0.0)
+            t_try = t + hv
+            spent = active & (steps >= cfg.max_steps)
+            if (bad := spent | (active & (t_try <= t))).any():
+                b = int(np.argmax(bad))
+                if spent[b]:
                     raise NumericError(f"step budget {cfg.max_steps} exhausted "
                                        f"at {at(b)} (h={h[b]:.3g})")
-                h_try[b] = min(h[b], end - t[b])
-                if t[b] + h_try[b] <= t[b]:
-                    raise NumericError(f"step size underflow at {at(b)}")
-            hv = np.array(h_try)
-            tv = np.array(t)
+                raise NumericError(f"step size underflow at {at(b)}")
             hy = hv[:, None, None]  # per-sample scalars against y
             k = [k1]
             for i in range(1, 6):
                 yi = y + hy * sum(a * kj for a, kj in zip(_DP_A[i], k))
-                k.append(fnp(tv + _DP_C[i] * hv, yi))
+                k.append(fnp(t + _DP_C[i] * hv, yi))
             y5 = y + hy * sum(b * kj for b, kj in zip(_DP_B5, k) if b != 0.0)
-            k.append(fnp(tv + hv, y5))
+            k.append(fnp(t_try, y5))
             err = hy * sum(e * kj for e, kj in zip(_DP_ERR, k) if e != 0.0)
             scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5))
             norms = np.sqrt(np.mean(((err / scale) ** 2).reshape(batch, -1),
-                                    axis=1)).tolist()
-            accept = np.zeros((batch, 1, 1), dtype=bool)
-            dense = []  # (sample, grid index, theta) inside accepted steps
-            for b in active:
-                norm = norms[b]
-                if not np.isfinite(norm):
-                    raise NumericError(f"non-finite error estimate at {at(b)}")
-                steps[b] += 1
-                if norm <= 1.0:
-                    stats.accepted += 1
-                    accept[b] = True
-                    t_new = t[b] + h_try[b]
-                    # snap onto the end once the remainder is roundoff
-                    if end - t_new <= 1e-12 * max(1.0, abs(end)):
-                        t_new = end
-                    while nxt[b] < len(times) and times[nxt[b]] <= t_new:
-                        tau = times[nxt[b]]
-                        if tau == t_new:
-                            out[nxt[b] - 1, b] = y5[b]
-                        else:
-                            dense.append((b, nxt[b], (tau - t[b]) / h_try[b]))
-                        nxt[b] += 1
-                    t[b] = t_new
-                else:
-                    stats.rejected += 1
-                factor = FACTOR_MAX if norm == 0.0 else SAFETY * norm ** -0.2
-                h[b] = h_try[b] * min(FACTOR_MAX, max(FACTOR_MIN, factor))
-            if dense:
-                rows, idx, theta = (np.array(c) for c in zip(*dense))
-                w = _dense_weights(theta) * hv[rows][:, None]
-                out[idx - 1, rows] = y[rows] + sum(
-                    w[:, i, None, None] * k[i][rows]
-                    for i in range(7) if _DP_DENSE[i].any())
-            y = np.where(accept, y5, y)
-            k1 = np.where(accept, k[6], k1)
+                                    axis=1))
+            if (bad := active & ~np.isfinite(norms)).any():
+                raise NumericError(
+                    f"non-finite error estimate at {at(int(np.argmax(bad)))}")
+            steps += active
+            accept = active & (norms <= 1.0)
+            stats.accepted += int(accept.sum())
+            stats.rejected += int((active & ~accept).sum())
+            # snap onto the end once the remainder is roundoff
+            t_new = np.where(end - t_try <= 1e-12 * max(1.0, abs(end)), end,
+                             t_try)
+            # (sample, grid index) of each grid time in an accepted (t, t_new]
+            rows, idx = np.nonzero(accept[:, None] & (times > t[:, None])
+                                   & (times <= t_new[:, None]))
+            hit = times[idx] == t_new[rows]
+            out[idx[hit] - 1, rows[hit]] = y5[rows[hit]]
+            rows, idx = rows[~hit], idx[~hit]
+            theta = (times[idx] - t[rows]) / hv[rows]
+            w = _dense_weights(theta) * hv[rows][:, None]
+            out[idx - 1, rows] = y[rows] + sum(
+                w[:, i, None, None] * k[i][rows]
+                for i in range(7) if _DP_DENSE[i].any())
+            factor = np.clip([FACTOR_MAX if x == 0.0 else SAFETY * x ** -0.2
+                              for x in norms.tolist()], FACTOR_MIN, FACTOR_MAX)
+            h = np.where(active, hv * factor, h)
+            t = np.where(accept, t_new, t)
+            y = np.where(accept[:, None, None], y5, y)
+            k1 = np.where(accept[:, None, None], k[6], k1)
     log.info("dopri5: %d systems, %d accepted and %d rejected steps, "
              "%d RHS calls", batch, stats.accepted, stats.rejected,
              stats.f_evals)
-    return [Tensor(s) for s in out], stats
+    return Tensor(out), stats
 
 
 def ode_solve(de: Callable[[float, Tensor], Tensor], z0: Tensor, grid: TimeGrid,
               cfg: SolverConfig = SolverConfig(), mode: str = "infer") -> Tensor:
-    """Latent trajectory stacked as (steps, *state_shape).
+    """Latent trajectory as (steps, *state_shape).
 
     Training integrates with one fixed RK4 step per grid interval so the
     solve stays differentiable; inference uses the adaptive integrator.
     """
     if mode == "train":
-        states = fixed_step_integrate(de, z0, grid, method="rk4")
-    elif mode == "infer":
-        states, _ = dopri5_integrate_stats(de, z0, grid, cfg)
-    else:
-        raise ContractError(f"mode must be 'train' or 'infer', got {mode!r}")
-    return stack(states, axis=0)
+        return fixed_step_integrate(de, z0, grid, method="rk4")
+    if mode == "infer":
+        return dopri5_integrate_stats(de, z0, grid, cfg)[0]
+    raise ContractError(f"mode must be 'train' or 'infer', got {mode!r}")

@@ -38,7 +38,7 @@ class FlowNetParams:
     b2: Parameter
 
     @classmethod
-    def create(cls, rng, hidden: int = 16) -> "FlowNetParams":
+    def create(cls, rng, hidden: int) -> "FlowNetParams":
         return cls(
             w1=uniform_param(rng, (2, hidden), 2, "flow.w1"),
             b1=uniform_param(rng, (1, hidden), 2, "flow.b1"),
@@ -109,8 +109,8 @@ class PowerBranchParams:
             raise ContractError("theta stack must be rectangular and non-empty")
 
     @classmethod
-    def create(cls, rng, latent_dim: int, order: int = 3, layers: int = 2,
-               prefix: str = "branch") -> "PowerBranchParams":
+    def create(cls, rng, latent_dim: int, order: int, layers: int,
+               prefix: str) -> "PowerBranchParams":
         if order < 1 or layers < 1:
             raise ContractError("order and layers must be at least 1")
         stack = tuple(
@@ -196,7 +196,7 @@ class DEFunction:
     def __init__(self, dist_lap: ScaledLaplacian, flow: FlowNetParams,
                  diff_branch: PowerBranchParams, adv_branch: PowerBranchParams,
                  fusion: FusionParams, diffusion_coeff_raw: Parameter,
-                 gate_mode: str = "learned"):
+                 gate_mode: str):
         if gate_mode not in GATE_MODES:
             raise ConfigurationError(f"gate_mode must be one of {GATE_MODES}")
         self.dist_lap = dist_lap
@@ -260,10 +260,9 @@ def _reference_solve(op: np.ndarray, x: np.ndarray, t) -> np.ndarray:
         raise ContractError("simulation times must be positive and increasing")
     grid = TimeGrid(np.concatenate(([0.0], times)))
     op_t = Tensor(op)
-    states, _ = dopri5_integrate_stats(lambda _t, y: ad.matmul(op_t, y),
-                                       Tensor(x[None, :, None]), grid,
-                                       _REFERENCE_CFG)
-    traj = np.stack([s.data[0, :, 0] for s in states])
+    traj = dopri5_integrate_stats(lambda _t, y: ad.matmul(op_t, y),
+                                  Tensor(x[None, :, None]), grid,
+                                  _REFERENCE_CFG)[0].data[:, 0, :, 0]
     return traj if times.size > 1 else traj[0]
 
 

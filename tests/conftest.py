@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from aircast.autodiff import clear_tape
 from aircast.data import Series3h
 from aircast.graph import SensorGraph, Station
 
@@ -43,6 +44,14 @@ def rewrite_metadata(src, dst, edit) -> None:
         arrays = {k: archive[k] for k in archive.files if k != "_meta"}
         meta = json.loads(str(archive["_meta"]))
     np.savez(dst, _meta=np.array(json.dumps(edit(meta))), **arrays)
+
+
+@pytest.fixture(autouse=True)
+def fresh_tape():
+    """Every test starts and ends with an empty autodiff tape."""
+    clear_tape()
+    yield
+    clear_tape()
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ import scipy.linalg
 from conftest import grid_stations, synthetic_series, toy_graph
 
 from aircast import autodiff as ad
-from aircast.autodiff import Tensor, clear_tape
+from aircast.autodiff import Tensor
 from aircast.baselines import fit_var, ha_forecast, var_forecast
 from aircast.data import (HourlySeries, Series3h, WindowSample,
                           chronological_split, impute_missing, make_windows)
@@ -35,13 +35,6 @@ from aircast.physics import (simulate_advection_reference,
 from aircast.training import TrainConfig, mae_loss, train_loop
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    clear_tape()
-    yield
-    clear_tape()
-
-
 def _done(tag: str, t0: float, limit: float, summary: str) -> None:
     elapsed = time.perf_counter() - t0
     assert elapsed < limit, f"{tag} took {elapsed:.1f}s, budget {limit:g}s"
@@ -54,7 +47,7 @@ def test_c1_adaptive_solver_accuracy():
 
     states, _ = dopri5_integrate_stats(lambda t, z: ad.neg(z), Tensor([[[1.0]]]),
                                        TimeGrid([0.0, 1.0]), cfg)
-    err_scalar = abs(states[-1].data[0, 0, 0] - math.exp(-1.0))
+    err_scalar = abs(states.data[-1, 0, 0, 0] - math.exp(-1.0))
     assert err_scalar < 1e-6
 
     rng = np.random.default_rng(42)
@@ -65,9 +58,9 @@ def test_c1_adaptive_solver_accuracy():
     states, _ = dopri5_integrate_stats(lambda t, z: ad.matmul(op, z),
                                        Tensor(x0[None]), grid, cfg)
     worst = 0.0
-    for t, s in zip(grid.times[1:], states):
+    for t, s in zip(grid.times[1:], states.data):
         oracle = scipy.linalg.expm(a * t) @ x0
-        worst = max(worst, float(np.max(np.abs(s.data[0] - oracle))))
+        worst = max(worst, float(np.max(np.abs(s[0] - oracle))))
     assert worst < 1e-5
 
     _done("c1", t0, 1.0,
@@ -83,7 +76,7 @@ def test_c2_fixed_step_convergence_orders():
             states = fixed_step_integrate(lambda t, z: ad.neg(z),
                                           Tensor([[1.0]]), TimeGrid([0.0, 1.0]),
                                           method=method, substeps=substeps)
-            errs.append(abs(states[-1].data[0, 0] - math.exp(-1.0)))
+            errs.append(abs(states.data[-1, 0, 0] - math.exp(-1.0)))
             hs.append(1.0 / substeps)
         slope, _ = np.polyfit(np.log(hs), np.log(errs), 1)
         return slope
@@ -401,7 +394,7 @@ def test_c8_reproducible_training_and_checkpoints(tmp_path):
 
     save_checkpoint(make_checkpoint(model_a), tmp_path / "model.npz")
     restored = model_from_checkpoint(load_checkpoint(tmp_path / "model.npz"),
-                                     model_a.graph, solver=model_a.solver)
+                                     model_a.graph)
     sample = split.test[0]
     np.testing.assert_array_equal(model_a.forward_sample(sample),
                                   restored.forward_sample(sample))

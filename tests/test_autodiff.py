@@ -12,13 +12,6 @@ from aircast.autodiff import (Parameter, Tensor, backward, clear_tape,
 from aircast.errors import ContractError, DimensionError, NumericError
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    clear_tape()
-    yield
-    clear_tape()
-
-
 def test_tensor_rejects_non_finite():
     with pytest.raises(NumericError):
         Tensor([1.0, np.nan])

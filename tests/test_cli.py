@@ -502,6 +502,29 @@ def test_usage_errors_exit_1(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["evaluate", "--pred", "p.csv", "--truth", "t.csv", "--city", "beijing"],
+     "--city requires --sudden-change"),
+    (["simulate", "--mode", "diffusion", "--graph", "g.csv", "--x0", "x.csv",
+      "--t", "1", "--velocities", "missing.csv"],
+     "--velocities requires --mode advection"),
+    (["plot", "--type", "diffusion-lines", "--stations", "s.csv", "--field",
+      "f.csv", "--source", "s0", "--wind", "missing.csv"],
+     "--wind requires --type wind-heatmap"),
+    (["plot", "--type", "wind-heatmap", "--stations", "s.csv", "--field",
+      "f.csv", "--wind", "w.csv", "--source", "s0"],
+     "--source requires --type diffusion-lines"),
+], ids=["city", "velocities", "wind", "source"])
+def test_flag_its_mode_never_reads_is_usage_error(tmp_path, capsys, argv,
+                                                  message):
+    out = tmp_path / "out"
+    if argv[0] != "evaluate":  # evaluate writes to stdout
+        argv = argv + ["--out", str(out)]
+    assert cli_dispatch(argv) == 1
+    assert f"aircast: error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_data_errors_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     assert cli_dispatch(["ingest", "--stations", str(missing), "--readings",
@@ -854,14 +877,14 @@ def test_predict_rejects_bad_checkpoint_split_ratio(pipeline, tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["npy", "empty"])
+@pytest.mark.parametrize("kind", ["npy", "empty", "byte"])
 @pytest.mark.parametrize("command", ["baseline", "predict"])
 def test_non_container_file_exits_2(pipeline, tmp_path, capsys, command, kind):
     bad = tmp_path / f"x.{kind}"
     if kind == "npy":
         np.save(bad, np.arange(3.0))
     else:
-        bad.write_bytes(b"")
+        bad.write_bytes(b"x" if kind == "byte" else b"")
     out = tmp_path / "out.csv"
     if command == "baseline":
         argv = ["baseline", "--method", "ha", "--data", str(bad)]
@@ -869,7 +892,9 @@ def test_non_container_file_exits_2(pipeline, tmp_path, capsys, command, kind):
         argv = ["predict", "--checkpoint", str(bad), "--data",
                 str(pipeline["data"]), "--horizon", "24h"]
     assert cli_dispatch(argv + ["--out", str(out)]) == 2
-    assert f"{bad}: not a readable container" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{bad}: not a readable container" in err
+    assert "pickle" not in err
     assert not out.exists()
 
 

@@ -26,13 +26,6 @@ from conftest import grid_stations, rewrite_metadata, toy_graph
 T0 = datetime(2017, 3, 1, tzinfo=timezone.utc)
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    clear_tape()
-    yield
-    clear_tape()
-
-
 def tiny_config(**overrides):
     base = dict(history_steps=2, horizon_steps=2, latent_dim=2, gru_hidden=3,
                 head_hidden=2, cheb_order=2, cheb_layers=1, flownet_hidden=2,
@@ -345,7 +338,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, rng):
     model = Model(toy_graph(3), tiny_config(), stats=stats)
     save_checkpoint(make_checkpoint(model), tmp_path / "ckpt.npz")
     restored = model_from_checkpoint(load_checkpoint(tmp_path / "ckpt.npz"),
-                                     model.graph, solver=model.solver)
+                                     model.graph)
     for pa, pb in zip(model.parameters(), restored.parameters()):
         assert pa.name == pb.name
         np.testing.assert_array_equal(pa.data, pb.data)

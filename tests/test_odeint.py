@@ -6,18 +6,11 @@ import pytest
 import scipy.linalg
 
 from aircast import autodiff as ad
-from aircast.autodiff import Parameter, Tensor, backward, clear_tape, no_grad
+from aircast.autodiff import Parameter, Tensor, backward, no_grad
 from aircast.errors import (ConfigurationError, ContractError, DimensionError,
                             NumericError)
 from aircast.odeint import (SolverConfig, TimeGrid, dopri5_integrate_stats,
                             fixed_step_integrate, ode_solve)
-
-
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    clear_tape()
-    yield
-    clear_tape()
 
 
 def decay(t, z):
@@ -46,7 +39,7 @@ def test_dopri5_exponential_decay():
     states, _ = dopri5_integrate_stats(decay, Tensor([[[1.0]]]),
                                        TimeGrid([0.0, 1.0]),
                                        SolverConfig(rtol=1e-8, atol=1e-8))
-    assert states[-1].data[0, 0, 0] == pytest.approx(np.exp(-1.0), abs=1e-6)
+    assert states.data[-1, 0, 0, 0] == pytest.approx(np.exp(-1.0), abs=1e-6)
 
 
 def test_dopri5_matches_matrix_exponential(rng):
@@ -57,9 +50,9 @@ def test_dopri5_matches_matrix_exponential(rng):
     states, _ = dopri5_integrate_stats(lambda t, z: ad.matmul(op, z),
                                        Tensor(x0[None]), grid,
                                        SolverConfig(rtol=1e-9, atol=1e-9))
-    for t, s in zip(grid.times[1:], states):
+    for t, s in zip(grid.times[1:], states.data):
         expected = scipy.linalg.expm(a * t) @ x0
-        np.testing.assert_allclose(s.data[0], expected, atol=1e-5)
+        np.testing.assert_allclose(s[0], expected, atol=1e-5)
 
 
 def test_dopri5_harmonic_oscillator_energy():
@@ -69,14 +62,14 @@ def test_dopri5_harmonic_oscillator_energy():
     states, _ = dopri5_integrate_stats(lambda t, z: ad.matmul(rot, z),
                                        Tensor([[[1.0], [0.0]]]), grid,
                                        SolverConfig(rtol=1e-9, atol=1e-9))
-    np.testing.assert_allclose(states[-1].data[0], [[1.0], [0.0]], atol=1e-6)
+    np.testing.assert_allclose(states.data[-1, 0], [[1.0], [0.0]], atol=1e-6)
 
 
 def test_rk4_two_substeps_known_error():
     # e^-1 with two RK4 steps of h=1/2 lands 2.9e-4 off the true value
     states = fixed_step_integrate(decay, Tensor([[1.0]]), TimeGrid([0.0, 1.0]),
                                   method="rk4", substeps=2)
-    err = abs(states[-1].data[0, 0] - np.exp(-1.0))
+    err = abs(states.data[-1, 0, 0] - np.exp(-1.0))
     assert err < 3e-4
     assert err > 1e-5
 
@@ -87,7 +80,7 @@ def measured_order(method, substeps_list):
         states = fixed_step_integrate(decay, Tensor([[1.0]]),
                                       TimeGrid([0.0, 1.0]), method=method,
                                       substeps=substeps)
-        errors.append(abs(states[-1].data[0, 0] - np.exp(-1.0)))
+        errors.append(abs(states.data[-1, 0, 0] - np.exp(-1.0)))
     log_h = np.log([1.0 / s for s in substeps_list])
     slope, _ = np.polyfit(log_h, np.log(errors), 1)
     return slope
@@ -134,9 +127,25 @@ def test_dopri5_lands_exactly_on_grid_times():
     grid = TimeGrid([0.0, 0.5, 1.25, 2.0])
     states, _ = dopri5_integrate_stats(f, Tensor([[[1.0]]]), grid, cfg)
     assert seen[-1] == 2.0 and max(seen) == 2.0
-    for t, state in zip(grid.times[1:], states):
+    for t, state in zip(grid.times[1:], states.data):
         exact = np.exp(-t)
-        assert abs(state.data[0, 0, 0] - exact) <= cfg.atol + cfg.rtol * exact
+        assert abs(state[0, 0, 0] - exact) <= cfg.atol + cfg.rtol * exact
+
+
+def test_dopri5_landing_takes_the_fifth_order_state(rng):
+    # a grid time a step lands on gets that step's 5th-order solution, the
+    # state its last stage evaluates f at, not the continuous extension
+    op = Tensor(rng.standard_normal((2, 4, 4)))
+    seen = []
+
+    def f(t, z):
+        seen.append(z.data)
+        return ad.tanh(ad.matmul(op, z))
+
+    states, _ = dopri5_integrate_stats(f, Tensor(rng.standard_normal((2, 4, 3))),
+                                       TimeGrid([0.0, 0.8, 1.7]),
+                                       SolverConfig(rtol=1e-7, atol=1e-7))
+    np.testing.assert_array_equal(states.data[-1], seen[-1])
 
 
 def test_dopri5_step_statistics():
@@ -160,9 +169,9 @@ def test_dopri5_output_times_add_no_steps(rng):
         cfg)
     assert fine_stats == end_stats
     assert fine_stats.accepted < 50
-    np.testing.assert_array_equal(fine_states[-1].data, end_states[0].data)
-    for t, state in zip(fine.times[1:], fine_states):
-        np.testing.assert_allclose(state.data[0], scipy.linalg.expm(a * t) @ x0,
+    np.testing.assert_array_equal(fine_states.data[-1], end_states.data[0])
+    for t, state in zip(fine.times[1:], fine_states.data):
+        np.testing.assert_allclose(state[0], scipy.linalg.expm(a * t) @ x0,
                                    rtol=0, atol=1e-5)
 
 
@@ -181,8 +190,8 @@ def test_dopri5_dense_output_is_fourth_order(rng):
             lambda t, z: ad.matmul(op, z), Tensor(x0[None]), grid,
             SolverConfig(rtol=tol, atol=tol))
         mean_steps.append(2.0 / stats.accepted)
-        errors.append(max(np.abs(s.data[0] - e).max()
-                          for s, e in zip(states[:-1], exact)))
+        errors.append(max(np.abs(s[0] - e).max()
+                          for s, e in zip(states.data[:-1], exact)))
         assert errors[-1] <= 10 * tol
     slope, _ = np.polyfit(np.log(mean_steps), np.log(errors), 1)
     assert slope >= 4.0
@@ -240,8 +249,8 @@ def test_dopri5_batch_is_per_sample_solo_runs(rng):
                                    Tensor(z0[b:b + 1]), grid, cfg)
             for b in range(2)]
     for b, (solo_states, _) in enumerate(solo):
-        for batched, alone in zip(states, solo_states):
-            np.testing.assert_array_equal(batched.data[b], alone.data[0])
+        for batched, alone in zip(states.data, solo_states.data):
+            np.testing.assert_array_equal(batched[b], alone[0])
     solo_stats = [st for _, st in solo]
     assert solo_stats[1].rejected >= 1
     assert solo_stats[1].accepted > 3 * solo_stats[0].accepted
@@ -278,8 +287,8 @@ def test_dopri5_first_stage_carry_is_per_sample(rng):
     assert solo[0][1].rejected == 0
     assert solo[1][1].rejected >= 1
     for b, (solo_states, _) in enumerate(solo):
-        for batched, alone in zip(states, solo_states):
-            np.testing.assert_array_equal(batched.data[b], alone.data[0])
+        for batched, alone in zip(states.data, solo_states.data):
+            np.testing.assert_array_equal(batched[b], alone[0])
     assert stats.rejected == solo[1][1].rejected
 
 
@@ -298,6 +307,10 @@ def test_dopri5_step_budget_is_per_sample(rng):
     with pytest.raises(NumericError, match="budget .* in sample 1"):
         dopri5_integrate_stats(decoupled_decay(np.stack([mild, stiff])),
                                Tensor(z0), grid, cfg)
+    # two samples spend their budgets on the same attempt: the lower is named
+    with pytest.raises(NumericError, match=r"budget .* in sample 1 \(h="):
+        dopri5_integrate_stats(decoupled_decay(np.stack([mild, stiff, stiff])),
+                               Tensor(np.ones((3, n, 1))), grid, cfg)
 
 
 def test_ode_solve_train_mode_is_differentiable(rng):
@@ -340,7 +353,7 @@ def test_ode_solve_train_is_one_rk4_step_per_interval(rng):
     traj = ode_solve(f, z0, grid, mode="train")
     assert len(calls) == 4 * (grid.times.size - 1)
     states = fixed_step_integrate(f, z0, grid, method="rk4")
-    np.testing.assert_array_equal(traj.data, np.stack([s.data for s in states]))
+    np.testing.assert_array_equal(traj.data, states.data)
 
 
 def test_ode_solve_infer_not_recorded(rng):

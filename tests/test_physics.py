@@ -7,7 +7,7 @@ import scipy.linalg
 
 from aircast import autodiff as ad
 from aircast import graph
-from aircast.autodiff import Parameter, Tensor, backward, clear_tape, no_grad
+from aircast.autodiff import Parameter, Tensor, backward, no_grad
 from aircast.errors import (ConfigurationError, ContractError, DimensionError,
                             NumericError)
 from aircast.physics import (GATE_MODES, DEFunction, FlowNetParams,
@@ -16,13 +16,6 @@ from aircast.physics import (GATE_MODES, DEFunction, FlowNetParams,
                              flow_scaled_laplacian, gate_alpha,
                              simulate_advection_reference,
                              simulate_diffusion_reference, uniform_param)
-
-
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    clear_tape()
-    yield
-    clear_tape()
 
 
 def make_flow(rng, hidden=8):
@@ -142,7 +135,8 @@ def test_cheb_branch_matches_numpy_oracle(rng):
     lap = rng.standard_normal((5, 5))
     lap = (lap + lap.T) / 4.0
     h0 = rng.standard_normal((5, 6))
-    params = PowerBranchParams.create(rng, 6, order=3, layers=2)
+    params = PowerBranchParams.create(rng, 6, order=3, layers=2,
+                                      prefix="branch")
     with no_grad():
         got = cheb_branch(Tensor(lap), Tensor(h0), params).data
     np.testing.assert_allclose(got, cheb_oracle(lap, h0, params), atol=1e-12)
@@ -151,7 +145,8 @@ def test_cheb_branch_matches_numpy_oracle(rng):
 def test_cheb_branch_order_one_uses_no_laplacian(rng):
     # order 1 keeps only the k=0 term, so the laplacian cannot matter
     h0 = rng.standard_normal((4, 3))
-    params = PowerBranchParams.create(rng, 3, order=1, layers=2)
+    params = PowerBranchParams.create(rng, 3, order=1, layers=2,
+                                      prefix="branch")
     with no_grad():
         a = cheb_branch(Tensor(np.zeros((4, 4))), Tensor(h0), params).data
         b = cheb_branch(Tensor(rng.standard_normal((4, 4))), Tensor(h0),
@@ -160,7 +155,8 @@ def test_cheb_branch_order_one_uses_no_laplacian(rng):
 
 
 def test_cheb_branch_shape_validation(rng):
-    params = PowerBranchParams.create(rng, 3)
+    params = PowerBranchParams.create(rng, 3, order=3, layers=2,
+                                      prefix="branch")
     with pytest.raises(DimensionError):
         cheb_branch(Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 3))), params)
     with pytest.raises(DimensionError):
@@ -169,9 +165,11 @@ def test_cheb_branch_shape_validation(rng):
 
 def test_cheb_params_validation(rng):
     with pytest.raises(ContractError):
-        PowerBranchParams.create(rng, 3, order=0)
-    ragged = (PowerBranchParams.create(rng, 2, order=2).thetas[0],
-              PowerBranchParams.create(rng, 2, order=3).thetas[0])
+        PowerBranchParams.create(rng, 3, order=0, layers=2, prefix="branch")
+    ragged = (PowerBranchParams.create(rng, 2, order=2, layers=2,
+                                       prefix="branch").thetas[0],
+              PowerBranchParams.create(rng, 2, order=3, layers=2,
+                                       prefix="branch").thetas[0])
     with pytest.raises(ContractError):
         PowerBranchParams(thetas=ragged)
 
@@ -179,7 +177,8 @@ def test_cheb_params_validation(rng):
 def test_cheb_branch_gradient(rng):
     lap = rng.standard_normal((3, 3)) * 0.3
     h0 = Tensor(rng.standard_normal((3, 4)))
-    params = PowerBranchParams.create(rng, 4, order=2, layers=2)
+    params = PowerBranchParams.create(rng, 4, order=2, layers=2,
+                                      prefix="branch")
 
     def loss():
         return ad.reduce_sum(cheb_branch(Tensor(lap), h0, params))

@@ -8,7 +8,7 @@ import pytest
 
 from aircast import autodiff as ad
 from aircast import training
-from aircast.autodiff import Parameter, Tensor, backward, clear_tape
+from aircast.autodiff import Parameter, Tensor, backward
 from aircast.data import NormStats, chronological_split, make_windows
 from aircast.errors import ConfigurationError, ContractError, NumericError
 from aircast.model import Model, ModelConfig
@@ -17,13 +17,6 @@ from aircast.training import (Adam, TrainConfig, _epoch_eval, clip_gradients,
                               lr_schedule, mae_loss, train_loop)
 
 from conftest import synthetic_series, toy_graph
-
-
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    clear_tape()
-    yield
-    clear_tape()
 
 
 def test_train_config_validation():
