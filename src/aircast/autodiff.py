@@ -96,26 +96,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Parameter(Tensor):
@@ -319,38 +301,38 @@ def absolute(a) -> Tensor:
     return _result(np.abs(x), (a,), vjp)
 
 
-def _check_axis(a: Tensor, axis) -> None:
-    if axis is not None and not (-a.data.ndim <= axis < a.data.ndim):
-        raise DimensionError(f"axis {axis} out of range for shape {a.shape}")
+def _reduce(a, axis, mean: bool) -> Tensor:
+    """Sum or mean over one axis, or over all of them when axis is None.
+
+    Both share one VJP: the cotangent spread back over the reduced axes and
+    divided by the count of averaged entries, which is 1 for a sum (an exact
+    division, so a sum's gradient is bitwise the spread cotangent).
+    """
+    a = as_tensor(a)
+    sh = a.shape
+    if axis is not None and not (-len(sh) <= axis < len(sh)):
+        raise DimensionError(f"axis {axis} out of range for shape {sh}")
+    count = 1
+    if mean:
+        count = a.data.size if axis is None else sh[axis]
+        if count == 0:
+            raise DimensionError("mean over an empty axis")
+
+    def vjp(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g / count, sh).copy(),)
+
+    values = a.data.mean(axis=axis) if mean else a.data.sum(axis=axis)
+    return _result(values, (a,), vjp)
 
 
 def reduce_sum(a, axis=None) -> Tensor:
-    a = as_tensor(a)
-    _check_axis(a, axis)
-    sh = a.shape
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, sh).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), sh).copy(),)
-
-    return _result(a.data.sum(axis=axis), (a,), vjp)
+    return _reduce(a, axis, mean=False)
 
 
 def reduce_mean(a, axis=None) -> Tensor:
-    a = as_tensor(a)
-    _check_axis(a, axis)
-    sh = a.shape
-    count = a.data.size if axis is None else sh[axis]
-    if count == 0:
-        raise DimensionError("mean over an empty axis")
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, sh).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis) / count, sh).copy(),)
-
-    return _result(a.data.mean(axis=axis), (a,), vjp)
+    return _reduce(a, axis, mean=True)
 
 
 def reshape(a, shape: tuple) -> Tensor:

@@ -44,14 +44,14 @@ SPARSE_SPLIT = (3, 1, 6)
 CONFIG_SECTIONS = {"model": ModelConfig, "train": TrainConfig,
                    "solver": SolverConfig}
 # Flags that only one mode reads: flag -> (the option that sets the mode, the
-# value it must have, or None where it need only be given). Anywhere else the
-# flag would be ignored, so it is a usage error.
+# value it must have, or None where it need only be given, and whether the
+# mode needs the flag). Anywhere else the flag would be ignored, and a mode
+# that needs it would fail, so either is a usage error.
 MODE_FLAGS = {
-    "sudden_change": ("city", None),
-    "city": ("sudden_change", None),
-    "velocities": ("mode", "advection"),
-    "wind": ("type", "wind-heatmap"),
-    "source": ("type", "diffusion-lines"),
+    "city": ("sudden_change", None, True),
+    "velocities": ("mode", "advection", False),
+    "wind": ("type", "wind-heatmap", True),
+    "source": ("type", "diffusion-lines", True),
 }
 
 
@@ -242,7 +242,7 @@ def cmd_train(args) -> int:
                            model_cfg.horizon_steps)
     ratio = SPARSE_SPLIT if args.sparse_split else DEFAULT_SPLIT
     split = chronological_split(windows, ratio)
-    model = Model(graph, model_cfg, stats=split.stats, solver=solver_cfg)
+    model = Model(graph, model_cfg, solver=solver_cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "training_log.csv"
@@ -293,9 +293,7 @@ def cmd_baseline(args) -> int:
     else:
         cfg = ModelConfig()
         history, horizon = cfg.history_steps, cfg.horizon_steps
-        ratio = DEFAULT_SPLIT
-    if args.sparse_split:
-        ratio = SPARSE_SPLIT
+        ratio = SPARSE_SPLIT if args.sparse_split else DEFAULT_SPLIT
     origins = forecast_origins(dataset.series, history, horizon, ratio)
     forecasts = []
     for w in origins:
@@ -369,13 +367,9 @@ def cmd_plot(args) -> int:
     ids = [s.station_id for s in stations]
     field = _read_station_csv(args.field, ids, ["value"])[:, 0]
     if args.type == "wind-heatmap":
-        if not args.wind:
-            raise ConfigurationError("wind-heatmap needs --wind")
         wind = _read_station_csv(args.wind, ids, ["u", "v"])
         render_wind_heatmap(stations, field, wind, args.out)
     else:
-        if not args.source:
-            raise ConfigurationError("diffusion-lines needs --source")
         graph = SensorGraph.from_stations(stations)
         render_diffusion_lines(graph, field, args.source, args.k, args.out)
     print(f"wrote {args.out}")
@@ -423,9 +417,12 @@ def build_parser() -> _Parser:
     p.add_argument("--method", required=True, choices=["ha", "var"])
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--checkpoint", default=None,
-                   help="align windows and split with this checkpoint")
-    p.add_argument("--sparse-split", action="store_true")
+    # the checkpoint carries its split
+    split = p.add_mutually_exclusive_group()
+    split.add_argument("--checkpoint", default=None,
+                       help="align windows and split with this checkpoint")
+    split.add_argument("--sparse-split", action="store_true",
+                       help="use the 3:1:6 split instead of 7:1:2")
     p.add_argument("--truth-out", default=None)
     p.set_defaults(func=cmd_baseline)
 
@@ -469,13 +466,18 @@ def cli_dispatch(argv=None) -> int:
         return int(e.code or 0)
     if not getattr(args, "func", None):
         return _usage_error(parser, "a command is required")
-    for flag, (option, value) in MODE_FLAGS.items():
+    for flag, (option, value, needed) in MODE_FLAGS.items():
         mode = getattr(args, option, None)
         read = mode not in (None, False) if value is None else mode == value
-        if getattr(args, flag, None) not in (None, False) and not read:
-            need = option if value is None else f"{option} {value}"
-            return _usage_error(
-                parser, f"--{flag} requires --{need}".replace("_", "-"))
+        given = getattr(args, flag, None) not in (None, False)
+        need = option if value is None else f"{option} {value}"
+        if given and not read:
+            message = f"--{flag} requires --{need}"
+        elif read and needed and not given:
+            message = f"--{need} requires --{flag}"
+        else:
+            continue
+        return _usage_error(parser, message.replace("_", "-"))
     try:
         return args.func(args)
     except (AircastError, OSError) as e:

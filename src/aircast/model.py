@@ -419,8 +419,15 @@ def model_from_checkpoint(ckpt: ModelCheckpoint, graph: SensorGraph) -> Model:
             f"array {_LAPLACIAN_KEY!r} differs from the graph's distance "
             f"Laplacian by up to {gap:.3g}: the checkpoint was trained on "
             f"another station layout")
+    load_parameters(model, ckpt.arrays)
+    return model
+
+
+def load_parameters(model: Model, arrays: dict) -> None:
+    """Copy each parameter's values in from the array of its name, checking
+    that every parameter has one of its shape."""
     for p in model.parameters():
-        saved = ckpt.arrays.get(p.name)
+        saved = arrays.get(p.name)
         if saved is None:
             raise FormatError(f"checkpoint missing array {p.name!r}")
         if saved.shape != p.data.shape:
@@ -428,4 +435,3 @@ def model_from_checkpoint(ckpt: ModelCheckpoint, graph: SensorGraph) -> Model:
                 f"array {p.name!r} has shape {saved.shape}, model needs "
                 f"{p.data.shape}")
         p.data[...] = saved
-    return model

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor, no_grad
 from .data import DatasetSplit, WindowSample
 from .errors import ConfigurationError, ContractError, NumericError
-from .model import Model, ModelCheckpoint, make_checkpoint
+from .model import Model, ModelCheckpoint, load_parameters, make_checkpoint
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,11 @@ def clip_gradients(params: Sequence[Parameter], max_norm: float) -> float:
     return norm
 
 
+# the columns of training_log.csv, in order, and the keys of a log row
+LOG_COLUMNS = ("epoch", "lr", "train_mae", "val_mae", "grad_norm",
+               "diffusion_coeff")
+
+
 def _batches(items: list, size: int):
     for lo in range(0, len(items), size):
         yield items[lo:lo + size]
@@ -136,12 +141,12 @@ def train_loop(model: Model, split: DatasetSplit, cfg: TrainConfig,
     """Train to best-validation parameters.
 
     Returns the checkpoint of the best epoch (the model is left holding those
-    parameters) and the per-epoch log rows. A row also holds the epoch's
-    mean pre-clip gradient norm and the diffusion coefficient after its last
-    step. Training stops once
-    ``cfg.patience`` epochs pass without a strictly lower validation MAE.
-    Epochs are numbered from 1 in the log; a fixed seed reproduces the run
-    bitwise.
+    parameters) and the per-epoch log rows, keyed by ``LOG_COLUMNS``: a row
+    also holds the epoch's mean pre-clip gradient norm and the diffusion
+    coefficient after its last step. Training stops once ``cfg.patience``
+    epochs pass without a strictly lower validation MAE, and a non-finite
+    validation MAE is a ``NumericError``. Epochs are numbered from 1 in the
+    log; a fixed seed reproduces the run bitwise.
     """
     if not split.train or not split.val:
         raise ConfigurationError("train and val partitions must be non-empty")
@@ -152,14 +157,12 @@ def train_loop(model: Model, split: DatasetSplit, cfg: TrainConfig,
     rows: list[dict] = []
     best_val = np.inf
     best_epoch = 0
-    best_arrays: dict | None = None
     writer = None
     log_file = None
     if log_path is not None:
         log_file = open(log_path, "w", newline="", encoding="utf-8")
         writer = csv.writer(log_file)
-        writer.writerow(["epoch", "lr", "train_mae", "val_mae", "grad_norm",
-                         "diffusion_coeff"])
+        writer.writerow(LOG_COLUMNS)
     try:
         for epoch in range(1, cfg.max_epochs + 1):
             lr = lr_schedule(epoch, cfg)
@@ -182,26 +185,23 @@ def train_loop(model: Model, split: DatasetSplit, cfg: TrainConfig,
                         f"diffusion coefficient became non-positive ({coeff})")
                 total_abs += loss.item() * truth.size
                 total_count += truth.size
-            train_mae = total_abs / total_count
             val_mae = _epoch_eval(model, split.val, cfg.batch_size)
-            grad_norm = sum(norms) / len(norms)
-            row = {"epoch": epoch, "lr": lr, "train_mae": train_mae,
-                   "val_mae": val_mae, "grad_norm": grad_norm,
-                   "diffusion_coeff": coeff}
+            if not math.isfinite(val_mae):
+                raise NumericError(f"validation MAE is {val_mae} at epoch {epoch}")
+            row = dict(zip(LOG_COLUMNS, (epoch, lr, total_abs / total_count,
+                                         val_mae, sum(norms) / len(norms),
+                                         coeff)))
             rows.append(row)
             if writer is not None:
-                writer.writerow([epoch, repr(lr), repr(train_mae), repr(val_mae),
-                                 repr(grad_norm), repr(coeff)])
+                writer.writerow([repr(v) for v in row.values()])
                 log_file.flush()
             if val_mae < best_val:  # strictly: a tie keeps the earlier epoch
                 best_val, best_epoch = val_mae, epoch
-                best_arrays = {p.name: p.data.copy() for p in model.parameters()}
+                best = make_checkpoint(model, split.ratio)
             if epoch - best_epoch >= cfg.patience:
                 break
     finally:
         if log_file is not None:
             log_file.close()
-    if best_arrays is not None:
-        for p in model.parameters():
-            p.data[...] = best_arrays[p.name]
-    return make_checkpoint(model, split.ratio), rows
+    load_parameters(model, best.arrays)
+    return best, rows

@@ -215,6 +215,18 @@ def test_reduce_mean_gradient(rng):
     np.testing.assert_allclose(x.grad, np.full((2, 5), 1.0 / 10), atol=1e-15)
 
 
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_reduce_mean_axis_gradients_fd(rng, axis):
+    x = Parameter(rng.standard_normal((3, 4, 5)), "x")
+    out_shape = np.delete(np.array(x.shape), axis)
+    w = Tensor(rng.standard_normal(tuple(out_shape)))
+
+    def f():
+        return ad.reduce_sum(ad.mul(ad.reduce_mean(x, axis=axis), w))
+
+    assert finite_diff_check(f, [x]) < 1e-7
+
+
 def test_reduce_axis_out_of_range():
     with pytest.raises(DimensionError):
         ad.reduce_sum(Tensor(np.ones((2, 2))), axis=2)

@@ -271,6 +271,50 @@ def test_baseline_outputs(pipeline):
     assert {(r[0], r[1]) for r in ha_rows} == {(r[0], r[1]) for r in model_rows}
 
 
+def test_baseline_sparse_split_scores_the_3_1_6_origins(pipeline, tmp_path,
+                                                        capsys):
+    ds = load_dataset(pipeline["data"])
+    cfg = ModelConfig()  # without --checkpoint, the default window shape
+    history, horizon = cfg.history_steps, cfg.horizon_steps
+    windows = make_windows(ds.series, history, horizon)
+    keys = {}
+    for flags, ratio in (([], (7, 1, 2)), (["--sparse-split"], (3, 1, 6))):
+        # VAR, as 3:1:6 leaves too little history for HA's four days
+        out = tmp_path / f"var{len(flags)}.csv"
+        assert cli_dispatch(["baseline", "--method", "var", "--data",
+                             str(pipeline["data"]), "--out", str(out),
+                             *flags]) == 0
+        n_train, n_val, _ = split_counts(len(windows), ratio)
+        expected = []
+        for w in windows[n_train + n_val::horizon]:
+            start = w.start_index + history
+            var = fit_var(ds.series.pm25[:start])
+            values = var_forecast(var, ds.series.pm25[start - var.lags:start],
+                                  horizon)
+            for step in range(horizon):
+                ts = w.start_time + (history + step) * timedelta(hours=3)
+                expected.extend((ts.isoformat(), sid, values[step, i])
+                                for i, sid in enumerate(ds.series.station_ids))
+        _, rows = read_csv_rows(out)
+        assert [(r[0], r[1], float(r[2])) for r in rows] == expected
+        keys[ratio] = {(r[0], r[1]) for r in rows}
+    assert keys[(7, 1, 2)] != keys[(3, 1, 6)]
+    capsys.readouterr()
+
+
+def test_baseline_sparse_split_with_checkpoint_is_usage_error(pipeline,
+                                                              tmp_path, capsys):
+    # the checkpoint carries the split its model was trained on
+    out = tmp_path / "ha.csv"
+    assert cli_dispatch(["baseline", "--method", "ha", "--data",
+                         str(pipeline["data"]), "--checkpoint",
+                         str(pipeline["ckpt"]), "--sparse-split", "--out",
+                         str(out)]) == 1
+    assert ("argument --sparse-split: not allowed with argument --checkpoint"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 QUIRKY_IDS = ["s 0", "a,b", 'say "hi"', "in  ner"]
 
 
@@ -479,17 +523,21 @@ def test_plot_commands(pipeline, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_plot_missing_mode_flags_exit_2(pipeline, tmp_path, capsys):
+def test_plot_missing_mode_flags_exit_1(pipeline, tmp_path, capsys):
     field = tmp_path / "field.csv"
     field.write_text("station_id,value\ns0,80\ns1,45\ns2,60\ns3,110\n",
                      encoding="utf-8")
     assert cli_dispatch(["plot", "--type", "wind-heatmap", "--stations",
                          str(pipeline["stations"]), "--field", str(field),
-                         "--out", str(tmp_path / "x.svg")]) == 2
+                         "--out", str(tmp_path / "x.svg")]) == 1
+    assert ("aircast: error: --type wind-heatmap requires --wind\n"
+            in capsys.readouterr().err)
     assert cli_dispatch(["plot", "--type", "diffusion-lines", "--stations",
                          str(pipeline["stations"]), "--field", str(field),
-                         "--out", str(tmp_path / "x.svg")]) == 2
-    capsys.readouterr()
+                         "--out", str(tmp_path / "x.svg")]) == 1
+    assert ("aircast: error: --type diffusion-lines requires --source\n"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_usage_errors_exit_1(capsys):

@@ -162,6 +162,30 @@ def test_early_stopping_rules(monkeypatch):
             np.testing.assert_array_equal(ckpt.arrays[p.name], best[p.name])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_validation_mae_names_epoch(monkeypatch, tmp_path, bad):
+    val_maes = [3.0, bad]
+    monkeypatch.setattr(training, "_epoch_eval",
+                        lambda model, samples, batch_size: val_maes.pop(0))
+    cfg = TrainConfig(batch_size=8, max_epochs=5, patience=5, seed=0)
+    with pytest.raises(NumericError) as info:
+        train_loop(tiny_model(), tiny_split(), cfg, log_path=tmp_path / "log.csv")
+    assert str(info.value) == f"validation MAE is {bad} at epoch 2"
+    # the log keeps the header and the epochs before the failing one
+    assert len((tmp_path / "log.csv").read_text().splitlines()) == 2
+
+
+def test_train_loop_checkpoint_arrays_are_copies():
+    model = tiny_model()
+    cfg = TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=0)
+    ckpt, _ = train_loop(model, tiny_split(), cfg)
+    before = {name: a.copy() for name, a in ckpt.arrays.items()}
+    for p in model.parameters():
+        p.data += 1.0
+    for name, a in ckpt.arrays.items():
+        np.testing.assert_array_equal(a, before[name])
+
+
 def tiny_model(seed=7, **overrides):
     cfg = dict(history_steps=2, horizon_steps=2, latent_dim=2, gru_hidden=3,
                head_hidden=2, cheb_order=2, cheb_layers=1, flownet_hidden=2,
@@ -189,6 +213,7 @@ def test_train_loop_runs_and_logs(tmp_path):
     lines = log.read_text().strip().splitlines()
     assert lines[0] == "epoch,lr,train_mae,val_mae,grad_norm,diffusion_coeff"
     assert len(lines) == 4
+    assert lines[0].split(",") == list(rows[0])
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[2]) == rows[0]["train_mae"]  # repr() roundtrips exactly
