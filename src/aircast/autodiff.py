@@ -349,7 +349,7 @@ def reshape(a, shape: tuple) -> Tensor:
     return _result(values, (a,), vjp)
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+def stack(tensors: Sequence[Tensor]) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise ContractError("stack of zero tensors")
@@ -360,9 +360,9 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     count = len(tensors)
 
     def vjp(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(count))
+        return tuple(np.take(g, i, axis=0) for i in range(count))
 
-    return _result(np.stack([t.data for t in tensors], axis=axis),
+    return _result(np.stack([t.data for t in tensors]),
                    tuple(tensors), vjp)
 
 
@@ -440,16 +440,14 @@ def backward(loss: Tensor) -> None:
 
 
 def finite_diff_check(f: Callable[[], Tensor],
-                      params: Sequence[Parameter],
-                      eps: float = 1e-5) -> float:
+                      params: Sequence[Parameter]) -> float:
     """Compare backward() gradients of f against central differences.
 
     Returns the max over all elements of the listed parameters of
     |analytic - numeric| / (|analytic| + |numeric| + 1e-12). f is re-evaluated
     with recording disabled for every probe, so it must be deterministic.
     """
-    if eps <= 0:
-        raise ContractError("eps must be positive")
+    eps = 1e-5  # the central-difference step
     clear_tape()
     for p in params:
         p.zero_grad()

@@ -16,16 +16,16 @@ from .data import STEP_HOURS
 from .errors import DataError, DimensionError
 
 STEPS_PER_DAY = 24 // STEP_HOURS
+HA_DAYS = 4  # prior days the historical average takes the mean of
 RIDGE = 1e-6  # penalty of a rank-deficient VAR fit
 
 
-def ha_forecast(series: np.ndarray, target_indices, days: int = 4,
-                period: int = STEPS_PER_DAY) -> np.ndarray:
+def ha_forecast(series: np.ndarray, target_indices) -> np.ndarray:
     """Historical average: mean of the same time-of-day over prior days.
 
-    For target step t the forecast is the mean of rows t - period*k for
-    k = 1..days. Every lag must exist, so targets need at least
-    ``days * period`` steps of history.
+    For target step t the forecast is the mean of rows t - STEPS_PER_DAY*k
+    for k = 1..HA_DAYS. Every lag must exist, so targets need at least
+    ``HA_DAYS * STEPS_PER_DAY`` steps of history.
     """
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 2:
@@ -33,15 +33,15 @@ def ha_forecast(series: np.ndarray, target_indices, days: int = 4,
     targets = np.asarray(target_indices, dtype=np.int64)
     if targets.size == 0:
         raise DataError("no target indices given")
-    depth = days * period
+    depth = HA_DAYS * STEPS_PER_DAY
     if np.any(targets - depth < 0):
         raise DataError(
             f"historical average needs {depth} steps of history before each target")
-    if np.any(targets - period >= series.shape[0]):
+    if np.any(targets - STEPS_PER_DAY >= series.shape[0]):
         raise DataError("target lags beyond the end of the series")
     out = np.zeros((targets.size, series.shape[1]))
     for row, t in enumerate(targets):
-        lags = [series[t - period * k] for k in range(1, days + 1)]
+        lags = [series[t - STEPS_PER_DAY * k] for k in range(1, HA_DAYS + 1)]
         out[row] = np.mean(lags, axis=0)
     return out
 

@@ -56,21 +56,25 @@ class ModelConfig:
             raise ConfigurationError(
                 "diffusion_coeff_init must be positive and finite, got "
                 f"{self.diffusion_coeff_init}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        defaults = {f.name: f.default for f in fields(cls)}
-        unknown = set(d) - set(defaults)
-        if unknown:
-            raise ConfigurationError(f"unknown model config keys: {sorted(unknown)}")
-        for key, value in d.items():
-            default = defaults[key]
-            if not has_type(value, NUMBER if isinstance(default, float)
-                            else type(default)):
-                raise ConfigurationError(
-                    f"model config {key!r} must be {type(default).__name__}, "
-                    f"got {value!r}")
-        return cls(**d)
+
+def config_from_dict(cls, d: dict):
+    """A ModelConfig or SolverConfig from stored JSON: every key must be a
+    field of cls and hold a value of its default's type."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = set(d) - set(defaults)
+    if unknown:
+        raise ConfigurationError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    for key, value in d.items():
+        default = defaults[key]
+        if not has_type(value, NUMBER if isinstance(default, float)
+                        else type(default)):
+            raise ConfigurationError(
+                f"{cls.__name__} {key!r} must be {type(default).__name__}, "
+                f"got {value!r}")
+    return cls(**d)
 
 
 @dataclass
@@ -134,7 +138,6 @@ class LatentHeadParams:
     b1: Parameter
     w2: Parameter
     b2: Parameter
-    latent_dim: int
 
     @classmethod
     def create(cls, rng, hidden: int, head_hidden: int,
@@ -145,8 +148,11 @@ class LatentHeadParams:
             w2=uniform_param(rng, (head_hidden, 2 * latent_dim), head_hidden,
                              "head.w2"),
             b2=uniform_param(rng, (1, 2 * latent_dim), head_hidden, "head.b2"),
-            latent_dim=latent_dim,
         )
+
+    @property
+    def latent_dim(self) -> int:
+        return self.w2.shape[1] // 2
 
     def parameters(self) -> list[Parameter]:
         return [self.w1, self.b1, self.w2, self.b2]
@@ -332,7 +338,7 @@ _LAPLACIAN_RTOL = 1e-9  # of the largest entry; eigvalsh rounding is ~1e-15
 
 @dataclass
 class ModelCheckpoint:
-    """Self-describing snapshot: config, named arrays, normalization stats."""
+    """Self-describing snapshot: config, arrays, stats, split, solver."""
 
     config: ModelConfig
     arrays: dict
@@ -340,6 +346,7 @@ class ModelCheckpoint:
     norm_std: float
     n_stations: int
     split_ratio: tuple = DEFAULT_SPLIT
+    solver: SolverConfig = SolverConfig()
 
     def __post_init__(self):
         check_ratio(self.split_ratio)
@@ -360,7 +367,7 @@ def make_checkpoint(model: Model, split_ratio: tuple = DEFAULT_SPLIT
     return ModelCheckpoint(config=model.config, arrays=arrays,
                            norm_mean=model.stats.mean, norm_std=model.stats.std,
                            n_stations=model.n_stations,
-                           split_ratio=split_ratio)
+                           split_ratio=split_ratio, solver=model.solver)
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
@@ -370,26 +377,30 @@ def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
         "norm_std": ckpt.norm_std,
         "n_stations": ckpt.n_stations,
         "split_ratio": list(ckpt.split_ratio),
+        "solver": asdict(ckpt.solver),
     }
     save_container(path, CHECKPOINT_FORMAT, meta, ckpt.arrays)
 
 
 _CHECKPOINT_SCHEMA = {"config": dict, "norm_mean": NUMBER, "norm_std": NUMBER,
-                      "n_stations": int, "split_ratio": ([int], type(None))}
+                      "n_stations": int, "split_ratio": ([int], type(None)),
+                      "solver": (dict, type(None))}
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
-    """A saved checkpoint; a null or absent split ratio reads as 7:1:2."""
+    """A saved checkpoint; a null or absent split_ratio or solver is its default."""
     meta, arrays = load_container(path, CHECKPOINT_FORMAT, _CHECKPOINT_SCHEMA)
     try:
         return ModelCheckpoint(
-            config=ModelConfig.from_dict(meta["config"]),
+            config=config_from_dict(ModelConfig, meta["config"]),
             arrays=arrays,
             norm_mean=meta["norm_mean"],
             norm_std=meta["norm_std"],
             n_stations=meta["n_stations"],
             split_ratio=DEFAULT_SPLIT if meta.get("split_ratio") is None
             else tuple(meta["split_ratio"]),
+            solver=SolverConfig() if meta.get("solver") is None
+            else config_from_dict(SolverConfig, meta["solver"]),
         )
     except ConfigurationError as e:
         raise FormatError(f"{path}: {e}") from None
@@ -407,7 +418,8 @@ def model_from_checkpoint(ckpt: ModelCheckpoint, graph: SensorGraph) -> Model:
             f"graph has {graph.n_stations} (array {_LAPLACIAN_KEY!r} is "
             f"{saved_lap.shape})")
     model = Model(graph, ckpt.config,
-                  stats=NormStats(ckpt.norm_mean, ckpt.norm_std))
+                  stats=NormStats(ckpt.norm_mean, ckpt.norm_std),
+                  solver=ckpt.solver)
     rebuilt = model.dist_lap.matrix
     if saved_lap.shape != rebuilt.shape:
         raise DimensionError(

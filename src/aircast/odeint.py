@@ -1,15 +1,16 @@
 """Fixed-step and adaptive explicit Runge-Kutta integration over time grids.
 
-Fixed-step Euler/RK4 run on tensors and stay differentiable (training path).
-The adaptive Dormand-Prince 5(4) integrator drives its step-size controller on
-raw float64 arrays with recording disabled; it is the inference path and is
-not differentiable. It integrates a (batch, n, latent) state as independent
-systems, each under its own step-size control, so a sample's forecast does
-not depend on the other samples of its batch. It steps at the pace its
-error control sets: only the last grid time clips a step, and the grid
-times a step passes get the method's 4th-order dense output. The last stage
-of an accepted step is reused as the first of the next (FSAL), so an
-attempt costs 6 evaluations of the right-hand side, plus 1 for the start.
+Fixed-step RK4 takes one step per grid interval on tensors and stays
+differentiable (training path). The adaptive Dormand-Prince 5(4) integrator
+drives its step-size controller on raw float64 arrays with recording disabled;
+it is the inference path and is not differentiable. It integrates a
+(batch, n, latent) state as independent systems, each under its own step-size
+control, so a sample's forecast does not depend on the other samples of its
+batch. It steps at the pace its error control sets: only the last grid time
+clips a step, and the grid times a step passes get the method's 4th-order
+dense output. The last stage of an accepted step is reused as the first of the
+next (FSAL), so an attempt costs 6 evaluations of the right-hand side, plus 1
+for the start.
 """
 
 from __future__ import annotations
@@ -78,10 +79,6 @@ class IntegrationStats:
     f_evals: int = 0
 
 
-def _euler_step(f, t, z, h):
-    return z + f(t, z) * h
-
-
 def _rk4_step(f, t, z, h):
     k1 = f(t, z)
     k2 = f(t + h / 2.0, z + k1 * (h / 2.0))
@@ -91,34 +88,23 @@ def _rk4_step(f, t, z, h):
 
 
 def fixed_step_integrate(f: Callable[[float, Tensor], Tensor], z0: Tensor,
-                         grid: TimeGrid, method: str = "rk4",
-                         substeps: int = 1) -> Tensor:
+                         grid: TimeGrid) -> Tensor:
     """Integrate dz/dt = f(t, z): the (steps, *state) states at t_1..t_end.
 
-    Each grid interval is covered by `substeps` equal steps. Gradients flow
-    through the unrolled update, so z0 and any parameter used by f receive
-    cotangents from backward().
+    Each grid interval is one classical RK4 step, so a finer grid gives
+    smaller steps. Gradients flow through the unrolled update, so z0 and any
+    parameter used by f receive cotangents from backward().
     """
-    if method not in ("euler", "rk4"):
-        raise ContractError(f"fixed-step method must be euler or rk4, got {method!r}")
-    if substeps < 1:
-        raise ContractError("substeps must be at least 1")
-    step = _euler_step if method == "euler" else _rk4_step
     z = z0
     states = []
     times = grid.times
     for i in range(times.size - 1):
-        h = (times[i + 1] - times[i]) / substeps
-        t = times[i]
-        for s in range(substeps):
-            try:
-                z = step(f, t + s * h, z, h)
-            except NumericError as e:
-                raise NumericError(
-                    f"non-finite state in interval {i + 1}, substep {s + 1}: {e}"
-                ) from None
+        try:
+            z = _rk4_step(f, times[i], z, times[i + 1] - times[i])
+        except NumericError as e:
+            raise NumericError(f"non-finite state in interval {i + 1}: {e}") from None
         states.append(z)
-    return stack(states, axis=0)
+    return stack(states)
 
 
 # Dormand-Prince 5(4) tableau. Stage 7 is evaluated at t + h on the 5th-order
@@ -285,7 +271,7 @@ def ode_solve(de: Callable[[float, Tensor], Tensor], z0: Tensor, grid: TimeGrid,
     solve stays differentiable; inference uses the adaptive integrator.
     """
     if mode == "train":
-        return fixed_step_integrate(de, z0, grid, method="rk4")
+        return fixed_step_integrate(de, z0, grid)
     if mode == "infer":
         return dopri5_integrate_stats(de, z0, grid, cfg)[0]
     raise ContractError(f"mode must be 'train' or 'infer', got {mode!r}")

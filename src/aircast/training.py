@@ -50,6 +50,8 @@ class TrainConfig:
                 f"clip_norm must be positive and finite, got {self.clip_norm}")
         if any(e < 0 for e in self.decay_epochs):
             raise ConfigurationError("decay epochs must be non-negative")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
 
 def mae_loss(pred: Tensor, truth) -> Tensor:

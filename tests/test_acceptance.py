@@ -70,23 +70,16 @@ def test_c1_adaptive_solver_accuracy():
 def test_c2_fixed_step_convergence_orders():
     t0 = time.perf_counter()
 
-    def order(method, substeps_list):
-        errs, hs = [], []
-        for substeps in substeps_list:
-            states = fixed_step_integrate(lambda t, z: ad.neg(z),
-                                          Tensor([[1.0]]), TimeGrid([0.0, 1.0]),
-                                          method=method, substeps=substeps)
-            errs.append(abs(states.data[-1, 0, 0] - math.exp(-1.0)))
-            hs.append(1.0 / substeps)
-        slope, _ = np.polyfit(np.log(hs), np.log(errs), 1)
-        return slope
-
-    euler = order("euler", [8, 16, 32, 64])
-    rk4 = order("rk4", [2, 4, 8, 16])
-    assert abs(euler - 1.0) <= 0.1, f"euler slope {euler}"
+    errs, hs = [], []
+    for steps in [2, 4, 8, 16]:
+        states = fixed_step_integrate(lambda t, z: ad.neg(z), Tensor([[1.0]]),
+                                      TimeGrid(np.arange(steps + 1) / steps))
+        errs.append(abs(states.data[-1, 0, 0] - math.exp(-1.0)))
+        hs.append(1.0 / steps)
+    rk4, _ = np.polyfit(np.log(hs), np.log(errs), 1)
     assert abs(rk4 - 4.0) <= 0.2, f"rk4 slope {rk4}"
 
-    _done("c2", t0, 5.0, f"euler slope {euler:.3f}, rk4 slope {rk4:.3f}")
+    _done("c2", t0, 5.0, f"rk4 slope {rk4:.3f}")
 
 
 def test_c3_reference_simulators_conserve_mass():

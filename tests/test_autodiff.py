@@ -245,7 +245,7 @@ def test_reshape_gradient_roundtrip(rng):
 def test_stack_gradient_slices(rng):
     xs = [Parameter(rng.standard_normal((2, 2)), f"x{i}") for i in range(3)]
     w = Tensor(rng.standard_normal((3, 2, 2)))
-    loss = ad.reduce_sum(ad.mul(ad.stack(xs, axis=0), w))
+    loss = ad.reduce_sum(ad.mul(ad.stack(xs), w))
     backward(loss)
     for i, x in enumerate(xs):
         np.testing.assert_allclose(x.grad, w.data[i], atol=1e-14)
@@ -359,12 +359,6 @@ def test_two_layer_network_fd(rng):
         return ad.reduce_mean(ad.matmul(h, w2))
 
     assert finite_diff_check(f, [w1, b1, w2]) < 1e-6
-
-
-def test_finite_diff_check_rejects_bad_eps():
-    x = Parameter(np.ones(1), "x")
-    with pytest.raises(ContractError):
-        finite_diff_check(lambda: ad.reduce_sum(x), [x], eps=0.0)
 
 
 def test_tape_retains_only_what_vjps_read(rng):

@@ -34,12 +34,6 @@ def test_ha_brute_force_oracle(rng):
         np.testing.assert_allclose(out[row], expected, atol=1e-12)
 
 
-def test_ha_respects_days_and_period_arguments(rng):
-    series = rng.uniform(0, 100, size=(30, 2))
-    out = ha_forecast(series, [10], days=2, period=5)
-    np.testing.assert_allclose(out[0], (series[5] + series[0]) / 2.0, atol=1e-12)
-
-
 def test_ha_validation():
     series = np.zeros((40, 2))
     assert STEPS_PER_DAY == 8

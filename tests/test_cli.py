@@ -925,6 +925,90 @@ def test_predict_rejects_bad_checkpoint_split_ratio(pipeline, tmp_path, capsys,
     assert not out.exists()
 
 
+def _predict_rows(ckpt, data, out):
+    assert cli_dispatch(["predict", "--checkpoint", str(ckpt), "--data",
+                         str(data), "--horizon", "24h", "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _without_solver(meta):
+    return {k: v for k, v in meta.items() if k != "solver"}
+
+
+def test_predict_uses_the_solver_settings_of_training(pipeline, tmp_path):
+    # the pipeline trains under [solver] rtol = atol = 1e-4 and its checkpoint
+    # carries them; the same file without them predicts other values
+    assert load_checkpoint(pipeline["ckpt"]).solver == SolverConfig(
+        rtol=1e-4, atol=1e-4)
+    bare = tmp_path / "bare.npz"
+    rewrite_metadata(pipeline["ckpt"], bare, _without_solver)
+    assert load_checkpoint(bare).solver == SolverConfig()
+    assert (_predict_rows(bare, pipeline["data"], tmp_path / "bare.csv")
+            != pipeline["pred"].read_bytes())
+
+
+def test_checkpoint_without_solver_predicts_at_the_defaults(pipeline,
+                                                            tmp_path):
+    # a checkpoint written before it carried solver settings predicts the
+    # bytes that one storing SolverConfig() does
+    ds = load_dataset(pipeline["data"])
+    graph = SensorGraph.from_stations(list(ds.stations), ds.max_distance_km)
+    cfg = ModelConfig(history_steps=8, horizon_steps=8, latent_dim=4,
+                      gru_hidden=8, head_hidden=6, flownet_hidden=4, seed=4)
+    stored = tmp_path / "stored.npz"
+    save_checkpoint(make_checkpoint(Model(graph, cfg, NormStats(60.0, 25.0))),
+                    stored)
+    assert load_checkpoint(stored).solver == SolverConfig()
+    bare = tmp_path / "bare.npz"
+    rewrite_metadata(stored, bare, _without_solver)
+    assert (_predict_rows(bare, pipeline["data"], tmp_path / "bare.csv")
+            == _predict_rows(stored, pipeline["data"], tmp_path / "s.csv"))
+
+
+@pytest.mark.parametrize("solver, message", [
+    ({"rtol": "tight"}, "SolverConfig 'rtol' must be float, got 'tight'"),
+    ({"max_steps": 1.5}, "SolverConfig 'max_steps' must be int, got 1.5"),
+    ({"rtol": 0}, "rtol must be positive and finite, got 0"),
+    ({"method": "rk4"}, "unknown SolverConfig keys: ['method']"),
+    ([1e-4], "bad metadata field 'solver': [0.0001]"),
+], ids=["str-rtol", "float-max_steps", "zero-rtol", "unknown-key", "list"])
+def test_predict_rejects_bad_checkpoint_solver(pipeline, tmp_path, capsys,
+                                               solver, message):
+    ckpt = tmp_path / "ckpt.npz"
+    rewrite_metadata(pipeline["ckpt"], ckpt,
+                     lambda meta: {**meta, "solver": solver})
+    with pytest.raises(FormatError) as info:
+        load_checkpoint(ckpt)
+    assert str(info.value) == f"{ckpt}: {message}"
+    out = tmp_path / "p.csv"
+    assert cli_dispatch(["predict", "--checkpoint", str(ckpt), "--data",
+                         str(pipeline["data"]), "--horizon", "24h", "--out",
+                         str(out)]) == 2
+    assert f"{ckpt}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ini, env", [
+    ("[model]\nseed = -1\n", None),
+    ("[train]\nseed = -1\n", None),
+    ("", "-5"),
+], ids=["model", "train", "env"])
+def test_negative_seed_exits_2(pipeline, tmp_path, capsys, monkeypatch, ini,
+                               env):
+    config = tmp_path / "c.ini"
+    config.write_text(ini, encoding="utf-8")
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    if env is not None:
+        monkeypatch.setenv(SEED_ENV, env)
+    out_dir = tmp_path / "run"
+    assert cli_dispatch(["train", "--config", str(config), "--data",
+                         str(pipeline["data"]), "--out-dir", str(out_dir)]) == 2
+    seed = env or "-1"
+    assert (f"aircast: error: seed must be non-negative, got {seed}\n"
+            == capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("kind", ["npy", "empty", "byte"])
 @pytest.mark.parametrize("command", ["baseline", "predict"])
 def test_non_container_file_exits_2(pipeline, tmp_path, capsys, command, kind):

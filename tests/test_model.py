@@ -15,7 +15,8 @@ from aircast.errors import (ConfigurationError, ContractError, DataError,
                             DimensionError, FormatError)
 from aircast.odeint import SolverConfig
 from aircast.model import (DecoderParams, GRUParams, LatentHeadParams, Model,
-                           ModelCheckpoint, ModelConfig, decode_trajectory, encode_history, gru_step,
+                           ModelCheckpoint, ModelConfig, config_from_dict,
+                           decode_trajectory, encode_history, gru_step,
                            latent_head, load_checkpoint, make_checkpoint,
                            model_from_checkpoint, reparameterize,
                            save_checkpoint)
@@ -52,8 +53,8 @@ def test_model_config_validation():
     with pytest.raises(ConfigurationError):
         ModelConfig(diffusion_coeff_init=0.0)
     with pytest.raises(ConfigurationError):
-        ModelConfig.from_dict({"latent_dim": 4, "window": 3})
-    cfg = ModelConfig.from_dict({"latent_dim": 4})
+        config_from_dict(ModelConfig, {"latent_dim": 4, "window": 3})
+    cfg = config_from_dict(ModelConfig, {"latent_dim": 4})
     assert cfg.latent_dim == 4
     assert cfg.gru_hidden == 64
 
@@ -377,6 +378,20 @@ def test_checkpoint_split_ratio_is_never_none(tmp_path):
         assert load_checkpoint(bad).split_ratio == (7, 1, 2)
 
 
+def test_checkpoint_carries_solver_settings(tmp_path):
+    solver = SolverConfig(rtol=1e-7, atol=1e-8, h_init=0.05, max_steps=500)
+    model = Model(toy_graph(3), tiny_config(), stats=NormStats(50.0, 10.0),
+                  solver=solver)
+    save_checkpoint(make_checkpoint(model), tmp_path / "c.npz")
+    with np.load(tmp_path / "c.npz") as archive:
+        meta = json.loads(str(archive["_meta"]))
+    assert meta["solver"] == {"rtol": 1e-7, "atol": 1e-8, "h_init": 0.05,
+                              "max_steps": 500}
+    ckpt = load_checkpoint(tmp_path / "c.npz")
+    assert ckpt.solver == solver
+    assert model_from_checkpoint(ckpt, toy_graph(3)).solver == solver
+
+
 def test_checkpoint_requires_stats():
     model = Model(toy_graph(3), tiny_config())
     with pytest.raises(ConfigurationError):
@@ -412,9 +427,11 @@ def test_load_checkpoint_error_taxonomy(tmp_path):
     (lambda meta: {**meta, "split_ratio": [7, "1", 2]}, "'split_ratio'"),
     (lambda meta: {**meta, "config": {"latent_dim": "8"}}, "'latent_dim'"),
     (lambda meta: {**meta, "config": {"seed": 1.5}}, "'seed'"),
+    (lambda meta: {**meta, "config": {"seed": -1}},
+     "seed must be non-negative, got -1"),
     (lambda meta: [meta], "not a JSON object"),
 ], ids=["no-norm_mean", "str-n_stations", "str-in-split_ratio",
-        "str-latent_dim", "float-seed", "list-metadata"])
+        "str-latent_dim", "float-seed", "negative-seed", "list-metadata"])
 def test_load_checkpoint_rejects_malformed_metadata(tmp_path, edit, field):
     model = Model(toy_graph(3), tiny_config(), stats=NormStats(50.0, 10.0))
     good = tmp_path / "c.npz"

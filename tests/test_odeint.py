@@ -67,40 +67,23 @@ def test_dopri5_harmonic_oscillator_energy():
 
 def test_rk4_two_substeps_known_error():
     # e^-1 with two RK4 steps of h=1/2 lands 2.9e-4 off the true value
-    states = fixed_step_integrate(decay, Tensor([[1.0]]), TimeGrid([0.0, 1.0]),
-                                  method="rk4", substeps=2)
+    states = fixed_step_integrate(decay, Tensor([[1.0]]),
+                                  TimeGrid([0.0, 0.5, 1.0]))
     err = abs(states.data[-1, 0, 0] - np.exp(-1.0))
     assert err < 3e-4
     assert err > 1e-5
 
 
-def measured_order(method, substeps_list):
-    errors = []
-    for substeps in substeps_list:
-        states = fixed_step_integrate(decay, Tensor([[1.0]]),
-                                      TimeGrid([0.0, 1.0]), method=method,
-                                      substeps=substeps)
-        errors.append(abs(states.data[-1, 0, 0] - np.exp(-1.0)))
-    log_h = np.log([1.0 / s for s in substeps_list])
-    slope, _ = np.polyfit(log_h, np.log(errors), 1)
-    return slope
-
-
-def test_euler_first_order():
-    assert measured_order("euler", [8, 16, 32, 64]) == pytest.approx(1.0, abs=0.1)
-
-
 def test_rk4_fourth_order():
-    assert measured_order("rk4", [2, 4, 8, 16]) == pytest.approx(4.0, abs=0.2)
-
-
-def test_fixed_step_rejects_bad_arguments():
-    with pytest.raises(ContractError):
-        fixed_step_integrate(decay, Tensor([[1.0]]), TimeGrid([0.0, 1.0]),
-                             method="dopri5")
-    with pytest.raises(ContractError):
-        fixed_step_integrate(decay, Tensor([[1.0]]), TimeGrid([0.0, 1.0]),
-                             substeps=0)
+    # s equal steps over [0, 1]: the error of e^-1 falls as h^4
+    steps = [2, 4, 8, 16]
+    errors = []
+    for s in steps:
+        states = fixed_step_integrate(decay, Tensor([[1.0]]),
+                                      TimeGrid(np.arange(s + 1) / s))
+        errors.append(abs(states.data[-1, 0, 0] - np.exp(-1.0)))
+    slope, _ = np.polyfit(np.log([1.0 / s for s in steps]), np.log(errors), 1)
+    assert slope == pytest.approx(4.0, abs=0.2)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -110,7 +93,7 @@ def test_fixed_step_blowup_names_interval():
 
     with pytest.raises(NumericError, match="interval"):
         fixed_step_integrate(explode, Tensor([[10.0]]),
-                             TimeGrid([0.0, 1.0, 2.0]), substeps=2)
+                             TimeGrid([0.0, 1.0, 2.0]))
 
 
 def test_dopri5_lands_exactly_on_grid_times():
@@ -352,8 +335,33 @@ def test_ode_solve_train_is_one_rk4_step_per_interval(rng):
     grid = TimeGrid([0.0, 1.0, 2.5, 3.0, 5.0])
     traj = ode_solve(f, z0, grid, mode="train")
     assert len(calls) == 4 * (grid.times.size - 1)
-    states = fixed_step_integrate(f, z0, grid, method="rk4")
+    states = fixed_step_integrate(f, z0, grid)
     np.testing.assert_array_equal(traj.data, states.data)
+
+
+def test_ode_solve_train_matches_numpy_rk4_oracle(rng):
+    # classical RK4 written out in numpy with the solver's operation order,
+    # one step per interval of a non-uniform grid: equal to the last bit
+    op = rng.standard_normal((3, 3)) * 0.5
+    z0 = rng.standard_normal((2, 3, 1))
+    times = [0.0, 1.0, 2.5, 3.0, 5.0]
+
+    def f(z):
+        return np.tanh(op @ z)
+
+    z = z0
+    expected = []
+    for t0, t1 in zip(times[:-1], times[1:]):
+        h = t1 - t0
+        k1 = f(z)
+        k2 = f(z + k1 * (h / 2.0))
+        k3 = f(z + k2 * (h / 2.0))
+        k4 = f(z + k3 * h)
+        z = z + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (h / 6.0)
+        expected.append(z)
+    traj = ode_solve(lambda t, z: ad.tanh(ad.matmul(Tensor(op), z)),
+                     Tensor(z0), TimeGrid(times), mode="train")
+    np.testing.assert_array_equal(traj.data, np.stack(expected))
 
 
 def test_ode_solve_infer_not_recorded(rng):
