@@ -2,9 +2,10 @@
 simulate, plot.
 
 Exit codes: 0 success, 1 usage error, 2 data or numeric error. The
-config file is INI-style with [model], [train], and [solver] sections;
-every field has a default, so all sections and the file itself are
-optional. The environment variable AQC_SEED overrides both seeds.
+config file is UTF-8 INI with [model], [train], and [solver] sections;
+values are literal text and [DEFAULT] is an unknown section. Every field
+has a default, so all sections and the file itself are optional. The
+environment variable AQC_SEED overrides both seeds.
 """
 
 from __future__ import annotations
@@ -107,11 +108,15 @@ def load_config(path=None) -> tuple[ModelConfig, TrainConfig, SolverConfig]:
     """Read the optional INI config; AQC_SEED overrides both seeds."""
     kwargs = {name: {} for name in CONFIG_SECTIONS}
     if path is not None:
-        cp = configparser.ConfigParser()
+        # literal values; [DEFAULT] is an ordinary section, so an unknown one
+        cp = configparser.ConfigParser(interpolation=None, default_section="")
         try:
-            loaded = cp.read(path)
+            loaded = cp.read(path, encoding="utf-8")
         except configparser.Error as e:
             raise ConfigurationError(f"{path}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise ConfigurationError(
+                f"{path}: not UTF-8 text ({e.reason})") from None
         if not loaded:
             raise ConfigurationError(f"cannot read config file {path}")
         for section in cp.sections():
@@ -246,7 +251,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "training_log.csv"
-    ckpt, rows = train_loop(model, split, train_cfg, log_path=log_path)
+    ckpt, rows = train_loop(model, split, train_cfg, log_path)
     ckpt_path = out_dir / "checkpoint.npz"
     save_checkpoint(ckpt, ckpt_path)
     best = min(r["val_mae"] for r in rows)
@@ -452,32 +457,23 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _usage_error(parser, message: str) -> int:
-    parser.print_usage(sys.stderr)
-    print(f"aircast: error: {message}", file=sys.stderr)
-    return 1
-
-
 def cli_dispatch(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not getattr(args, "func", None):
+            parser.error("a command is required")
+        for flag, (option, value, needed) in MODE_FLAGS.items():
+            mode = getattr(args, option, None)
+            read = mode not in (None, False) if value is None else mode == value
+            given = getattr(args, flag, None) not in (None, False)
+            need = option if value is None else f"{option} {value}"
+            if given and not read:
+                parser.error(f"--{flag} requires --{need}".replace("_", "-"))
+            if read and needed and not given:
+                parser.error(f"--{need} requires --{flag}".replace("_", "-"))
     except SystemExit as e:
         return int(e.code or 0)
-    if not getattr(args, "func", None):
-        return _usage_error(parser, "a command is required")
-    for flag, (option, value, needed) in MODE_FLAGS.items():
-        mode = getattr(args, option, None)
-        read = mode not in (None, False) if value is None else mode == value
-        given = getattr(args, flag, None) not in (None, False)
-        need = option if value is None else f"{option} {value}"
-        if given and not read:
-            message = f"--{flag} requires --{need}"
-        elif read and needed and not given:
-            message = f"--{need} requires --{flag}"
-        else:
-            continue
-        return _usage_error(parser, message.replace("_", "-"))
     try:
         return args.func(args)
     except (AircastError, OSError) as e:

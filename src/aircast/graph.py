@@ -112,25 +112,32 @@ def table_rows(path, header: list | None = None, fields: int | None = None):
     (1, the stripped names); every later row has len(header) fields. Without
     it the table is headerless and every row has ``fields`` fields. Blank
     lines are skipped; a row of another width is a ParseError
-    "path:line: expected N fields, got M".
+    "path:line: expected N fields, got M". A file that is not UTF-8 text, or
+    that csv cannot split (a field over its size limit), is a ParseError
+    naming the file, and the line where csv reports one.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        if header is not None:
-            names = [h.strip() for h in next(reader, [])]
-            if len(names) != len(header) or any(
-                    want not in (None, got) for want, got in zip(header, names)):
-                expected = ",".join(h or "<value>" for h in header)
-                raise ParseError(f"{path}: expected header {expected}")
-            yield 1, names
-            fields = len(header)
-        for lineno, row in enumerate(reader, start=1 if header is None else 2):
-            if len(row) != fields:
-                if not row:
-                    continue
-                raise ParseError(
-                    f"{path}:{lineno}: expected {fields} fields, got {len(row)}")
-            yield lineno, row
+        try:
+            if header is not None:
+                names = [h.strip() for h in next(reader, [])]
+                if len(names) != len(header) or any(
+                        want not in (None, got) for want, got in zip(header, names)):
+                    expected = ",".join(h or "<value>" for h in header)
+                    raise ParseError(f"{path}: expected header {expected}")
+                yield 1, names
+                fields = len(header)
+            for lineno, row in enumerate(reader, start=1 if header is None else 2):
+                if len(row) != fields:
+                    if not row:
+                        continue
+                    raise ParseError(
+                        f"{path}:{lineno}: expected {fields} fields, got {len(row)}")
+                yield lineno, row
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
+        except csv.Error as e:
+            raise ParseError(f"{path}:{reader.line_num}: {e}") from None
 
 
 def load_stations(path) -> list[Station]:

@@ -1,7 +1,7 @@
 """Encoder / latent-ODE / decoder forecasting model.
 
 A per-node GRU (weights shared across stations) reads the normalized history
-into a hidden state; an affine head with a tanh bottleneck emits the latent
+into a hidden state; the head, a two-layer tanh MLP, emits the latent
 mean and log-std; the latent state is integrated through the physics-gated
 differential equation and an affine readout maps each latent step back to one
 normalized PM2.5 value, de-normalized for reporting. The GRU, the latent
@@ -27,8 +27,8 @@ from .errors import (ConfigurationError, ContractError, DataError,
                      DimensionError, FormatError)
 from .graph import ScaledLaplacian, SensorGraph, scaled_laplacian
 from .odeint import SolverConfig, TimeGrid, ode_solve
-from .physics import (DEFunction, FlowNetParams, FusionParams, GATE_MODES,
-                      PowerBranchParams, uniform_param)
+from .physics import (DEFunction, FusionParams, GATE_MODES, MLPParams,
+                      PowerBranchParams, mlp, uniform_param)
 
 
 @dataclass(frozen=True)
@@ -130,46 +130,18 @@ def gru_step(x: Tensor, h: Tensor, params: GRUParams) -> Tensor:
     return ad.mul(ad.sub(1.0, z), h) + ad.mul(z, n)
 
 
-@dataclass
-class LatentHeadParams:
-    """hidden -> head (tanh) -> 2 * latent affine emitting (mu, log sigma)."""
-
-    w1: Parameter
-    b1: Parameter
-    w2: Parameter
-    b2: Parameter
-
-    @classmethod
-    def create(cls, rng, hidden: int, head_hidden: int,
-               latent_dim: int) -> "LatentHeadParams":
-        return cls(
-            w1=uniform_param(rng, (hidden, head_hidden), hidden, "head.w1"),
-            b1=uniform_param(rng, (1, head_hidden), hidden, "head.b1"),
-            w2=uniform_param(rng, (head_hidden, 2 * latent_dim), head_hidden,
-                             "head.w2"),
-            b2=uniform_param(rng, (1, 2 * latent_dim), head_hidden, "head.b2"),
-        )
-
-    @property
-    def latent_dim(self) -> int:
-        return self.w2.shape[1] // 2
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
-
-def latent_head(h: Tensor, params: LatentHeadParams) -> tuple[Tensor, Tensor]:
-    """(mu, sigma) with sigma = exp(log sigma); the two halves of the output."""
-    out = ad.matmul(ad.tanh(ad.matmul(h, params.w1) + params.b1), params.w2) \
-        + params.b2
-    d = params.latent_dim
+def latent_head(h: Tensor, params: MLPParams) -> tuple[Tensor, Tensor]:
+    """(mu, sigma) with sigma = exp(log sigma): the two halves of the head
+    MLP's output, each the latent width."""
+    out = mlp(h, params)
+    d = params.w2.shape[1] // 2
     mu = ad.slice_cols(out, 0, d)
     sigma = ad.exp(ad.slice_cols(out, d, 2 * d))
     return mu, sigma
 
 
 def encode_history(x_hist: np.ndarray, gru: GRUParams,
-                   head: LatentHeadParams) -> tuple[Tensor, Tensor]:
+                   head: MLPParams) -> tuple[Tensor, Tensor]:
     """Run the shared GRU over (steps, rows, 1) history and apply the head."""
     x_hist = np.asarray(x_hist, dtype=np.float64)
     if x_hist.ndim != 3 or x_hist.shape[2] != 1:
@@ -231,12 +203,12 @@ class Model:
         self.dist_lap: ScaledLaplacian = scaled_laplacian(graph.weights)
         rng = np.random.default_rng(config.seed)
         self.gru = GRUParams.create(rng, config.gru_hidden)
-        self.head = LatentHeadParams.create(rng, config.gru_hidden,
-                                            config.head_hidden, config.latent_dim)
+        self.head = MLPParams.create(rng, config.gru_hidden, config.head_hidden,
+                                     2 * config.latent_dim, "head")
         self.decoder = DecoderParams.create(rng, config.latent_dim)
         self.de = DEFunction(
             dist_lap=self.dist_lap,
-            flow=FlowNetParams.create(rng, config.flownet_hidden),
+            flow=MLPParams.create(rng, 2, config.flownet_hidden, 1, "flow"),
             diff_branch=PowerBranchParams.create(
                 rng, config.latent_dim, config.cheb_order, config.cheb_layers,
                 prefix="diff"),
@@ -388,8 +360,17 @@ _CHECKPOINT_SCHEMA = {"config": dict, "norm_mean": NUMBER, "norm_std": NUMBER,
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
-    """A saved checkpoint; a null or absent split_ratio or solver is its default."""
+    """A saved checkpoint; a null or absent split_ratio or solver is its
+    default, and every array must be a finite float array."""
     meta, arrays = load_container(path, CHECKPOINT_FORMAT, _CHECKPOINT_SCHEMA)
+    for name, a in arrays.items():
+        if not np.issubdtype(a.dtype, np.floating):
+            problem = f"is {a.dtype}, not a float array"
+        elif not np.isfinite(a).all():
+            problem = "holds a non-finite value"
+        else:
+            continue
+        raise FormatError(f"{path}: array {name!r} {problem}")
     try:
         return ModelCheckpoint(
             config=config_from_dict(ModelConfig, meta["config"]),

@@ -29,8 +29,8 @@ def uniform_param(rng: np.random.Generator, shape: tuple, fan_in: int,
 
 
 @dataclass
-class FlowNetParams:
-    """Per-node MLP 2 -> hidden (tanh) -> 1 mapping wind (u, v) to a potential."""
+class MLPParams:
+    """Two-layer map n_in -> hidden (tanh) -> n_out, applied row by row."""
 
     w1: Parameter
     b1: Parameter
@@ -38,28 +38,37 @@ class FlowNetParams:
     b2: Parameter
 
     @classmethod
-    def create(cls, rng, hidden: int) -> "FlowNetParams":
+    def create(cls, rng, n_in: int, hidden: int, n_out: int,
+               prefix: str) -> "MLPParams":
+        """Draws w1, b1, w2, b2 in that order; a bias is bounded by the fan-in
+        of its layer's weight."""
         return cls(
-            w1=uniform_param(rng, (2, hidden), 2, "flow.w1"),
-            b1=uniform_param(rng, (1, hidden), 2, "flow.b1"),
-            w2=uniform_param(rng, (hidden, 1), hidden, "flow.w2"),
-            b2=uniform_param(rng, (1, 1), hidden, "flow.b2"),
+            w1=uniform_param(rng, (n_in, hidden), n_in, f"{prefix}.w1"),
+            b1=uniform_param(rng, (1, hidden), n_in, f"{prefix}.b1"),
+            w2=uniform_param(rng, (hidden, n_out), hidden, f"{prefix}.w2"),
+            b2=uniform_param(rng, (1, n_out), hidden, f"{prefix}.b2"),
         )
 
     def parameters(self) -> list[Parameter]:
         return [self.w1, self.b1, self.w2, self.b2]
 
 
-def flow_potentials(wind: Tensor, params: FlowNetParams) -> Tensor:
-    """Scalar potential per node, (..., n, 1), from its (u, v) wind components."""
+def mlp(x: Tensor, params: MLPParams) -> Tensor:
+    """tanh(x @ w1 + b1) @ w2 + b2 over the last axis of x."""
+    return ad.matmul(ad.tanh(ad.matmul(x, params.w1) + params.b1),
+                     params.w2) + params.b2
+
+
+def flow_potentials(wind: Tensor, params: MLPParams) -> Tensor:
+    """Scalar potential per node, (..., n, 1), from its (u, v) wind components
+    through the flow net, an MLP 2 -> hidden -> 1."""
     if wind.data.ndim not in (2, 3) or wind.shape[-1] != 2:
         raise DimensionError(
             f"wind must be (n, 2) or (batch, n, 2), got {wind.shape}")
-    hidden = ad.tanh(ad.matmul(wind, params.w1) + params.b1)
-    return ad.matmul(hidden, params.w2) + params.b2
+    return mlp(wind, params)
 
 
-def flow_field_adjacency(wind: Tensor, params: FlowNetParams) -> Tensor:
+def flow_field_adjacency(wind: Tensor, params: MLPParams) -> Tensor:
     """Antisymmetric adjacency w_ij = p_i - p_j of per-node flow potentials.
 
     Antisymmetry is exact at the bit level: entry (j, i) is the IEEE negation
@@ -70,7 +79,7 @@ def flow_field_adjacency(wind: Tensor, params: FlowNetParams) -> Tensor:
     return ad.sub(p, ad.reshape(p, p.shape[:-2] + (1, n)))
 
 
-def flow_scaled_laplacian(wind: Tensor, params: FlowNetParams) -> Tensor:
+def flow_scaled_laplacian(wind: Tensor, params: MLPParams) -> Tensor:
     """Differentiable scaled Laplacian of the flow-field graph.
 
     Wind of shape (n, 2) gives one (n, n) Laplacian; a minibatch of winds
@@ -193,13 +202,12 @@ class DEFunction:
     ignored.
     """
 
-    def __init__(self, dist_lap: ScaledLaplacian, flow: FlowNetParams,
+    def __init__(self, dist_lap: ScaledLaplacian, flow: MLPParams,
                  diff_branch: PowerBranchParams, adv_branch: PowerBranchParams,
                  fusion: FusionParams, diffusion_coeff_raw: Parameter,
                  gate_mode: str):
         if gate_mode not in GATE_MODES:
             raise ConfigurationError(f"gate_mode must be one of {GATE_MODES}")
-        self.dist_lap = dist_lap
         self.flow = flow
         self.diff_branch = diff_branch
         self.adv_branch = adv_branch
@@ -266,6 +274,22 @@ def _reference_solve(op: np.ndarray, x: np.ndarray, t) -> np.ndarray:
     return traj if times.size > 1 else traj[0]
 
 
+def _check_rates(rates, x0) -> tuple[np.ndarray, np.ndarray]:
+    """(rates, x0) as float64 arrays: a square, non-negative rate matrix with
+    a zero diagonal and one x0 value per node."""
+    w = np.asarray(rates, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise DimensionError(f"rate matrix must be square, got {w.shape}")
+    if (w < 0).any():
+        raise ContractError("rates must be non-negative")
+    if np.diag(w).any():
+        raise ContractError("rate matrix diagonal must be zero")
+    x = np.asarray(x0, dtype=np.float64).reshape(-1)
+    if x.size != w.shape[0]:
+        raise DimensionError(f"x0 size {x.size} does not match graph {w.shape}")
+    return w, x
+
+
 def simulate_diffusion_reference(w_d: np.ndarray, x0: np.ndarray, coeff: float,
                                  t) -> np.ndarray:
     """Integrate dX/dt = -coeff * (D - W_d) X on the distance graph.
@@ -274,18 +298,9 @@ def simulate_diffusion_reference(w_d: np.ndarray, x0: np.ndarray, coeff: float,
     invariant of every Runge-Kutta step). Returns the state at time t, or the
     trajectory (len(t), n) when t is a sequence.
     """
-    w = np.asarray(w_d, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise DimensionError(f"adjacency must be square, got {w.shape}")
-    if (w < 0).any():
-        raise ContractError("diffusion weights must be non-negative")
-    if np.diag(w).any():
-        raise ContractError("adjacency diagonal must be zero")
+    w, x = _check_rates(w_d, x0)
     if coeff < 0:
         raise ContractError("diffusion coefficient must be non-negative")
-    x = np.asarray(x0, dtype=np.float64).reshape(-1)
-    if x.size != w.shape[0]:
-        raise DimensionError(f"x0 size {x.size} does not match graph {w.shape}")
     lap = np.diag(w.sum(axis=1)) - w
     return _reference_solve(-coeff * lap, x, t)
 
@@ -297,14 +312,5 @@ def simulate_advection_reference(velocities: np.ndarray, x0: np.ndarray,
     velocities[i, j] is the rate from node i to node j (non-negative, zero
     diagonal): dX_i/dt = sum_j X_j v_ji - X_i sum_k v_ik.
     """
-    v = np.asarray(velocities, dtype=np.float64)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise DimensionError(f"velocities must be square, got {v.shape}")
-    if (v < 0).any():
-        raise ContractError("edge velocities must be non-negative")
-    if np.diag(v).any():
-        raise ContractError("velocity diagonal must be zero")
-    x = np.asarray(x0, dtype=np.float64).reshape(-1)
-    if x.size != v.shape[0]:
-        raise DimensionError(f"x0 size {x.size} does not match graph {v.shape}")
+    v, x = _check_rates(velocities, x0)
     return _reference_solve(v.T - np.diag(v.sum(axis=1)), x, t)

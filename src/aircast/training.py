@@ -139,13 +139,14 @@ def _epoch_eval(model: Model, samples: list[WindowSample], batch_size: int) -> f
 
 
 def train_loop(model: Model, split: DatasetSplit, cfg: TrainConfig,
-               log_path=None) -> tuple[ModelCheckpoint, list[dict]]:
+               log_path) -> tuple[ModelCheckpoint, list[dict]]:
     """Train to best-validation parameters.
 
     Returns the checkpoint of the best epoch (the model is left holding those
     parameters) and the per-epoch log rows, keyed by ``LOG_COLUMNS``: a row
     also holds the epoch's mean pre-clip gradient norm and the diffusion
-    coefficient after its last step. Training stops once ``cfg.patience``
+    coefficient after its last step. Each row is also written to the CSV at
+    ``log_path`` as the epoch ends. Training stops once ``cfg.patience``
     epochs pass without a strictly lower validation MAE, and a non-finite
     validation MAE is a ``NumericError``. Epochs are numbered from 1 in the
     log; a fixed seed reproduces the run bitwise.
@@ -159,13 +160,9 @@ def train_loop(model: Model, split: DatasetSplit, cfg: TrainConfig,
     rows: list[dict] = []
     best_val = np.inf
     best_epoch = 0
-    writer = None
-    log_file = None
-    if log_path is not None:
-        log_file = open(log_path, "w", newline="", encoding="utf-8")
+    with open(log_path, "w", newline="", encoding="utf-8") as log_file:
         writer = csv.writer(log_file)
         writer.writerow(LOG_COLUMNS)
-    try:
         for epoch in range(1, cfg.max_epochs + 1):
             lr = lr_schedule(epoch, cfg)
             order = shuffle_rng.permutation(len(split.train))
@@ -194,16 +191,12 @@ def train_loop(model: Model, split: DatasetSplit, cfg: TrainConfig,
                                          val_mae, sum(norms) / len(norms),
                                          coeff)))
             rows.append(row)
-            if writer is not None:
-                writer.writerow([repr(v) for v in row.values()])
-                log_file.flush()
+            writer.writerow([repr(v) for v in row.values()])
+            log_file.flush()
             if val_mae < best_val:  # strictly: a tie keeps the earlier epoch
                 best_val, best_epoch = val_mae, epoch
                 best = make_checkpoint(model, split.ratio)
             if epoch - best_epoch >= cfg.patience:
                 break
-    finally:
-        if log_file is not None:
-            log_file.close()
     load_parameters(model, best.arrays)
     return best, rows

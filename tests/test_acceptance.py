@@ -7,6 +7,7 @@ arithmetic) instead of reusing library helpers.
 """
 
 import math
+import os
 import time
 import xml.etree.ElementTree as ET
 from datetime import datetime
@@ -236,7 +237,8 @@ def test_c6_synthetic_diffusion_recovery():
                           gate_mode=gate_mode, seed=5)
         model = Model(graph, cfg)
         train_loop(model, split, TrainConfig(batch_size=32, learning_rate=5e-3,
-                                             max_epochs=12, patience=12, seed=5))
+                                             max_epochs=12, patience=12, seed=5),
+                   os.devnull)
         errs = []
         for raw, norm in zip(windows[-n_test:], split.test):
             errs.append(np.abs(model.forward_sample(norm) - raw.x_future))
@@ -375,7 +377,7 @@ def test_c8_reproducible_training_and_checkpoints(tmp_path):
 
     def run():
         model = Model(toy_graph(3), cfg)
-        ckpt, rows = train_loop(model, split, tcfg)
+        ckpt, rows = train_loop(model, split, tcfg, os.devnull)
         return model, ckpt, rows
 
     model_a, ckpt_a, rows_a = run()

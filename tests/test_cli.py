@@ -729,6 +729,51 @@ def test_csv_readers_share_table_rules(tmp_path, reader):
                                f"fields, got {width - 1}")
 
 
+def _corrupt_line_3(lines, column, fault) -> bytes:
+    """The CSV lines as UTF-8 bytes, with field ``column`` of line 3 made
+    non-UTF-8 (a 0xff byte) or over csv's field size limit."""
+    data = [line.encode("utf-8") for line in lines]
+    fields = data[2].split(b",")
+    fields[column] = (fields[column] + b"\xff" if fault == "not-utf8"
+                      else b"9" * 200_000)
+    data[2] = b",".join(fields)
+    return b"\n".join(data) + b"\n"
+
+
+@pytest.mark.parametrize("fault", ["not-utf8", "long-field"])
+@pytest.mark.parametrize("command", ["ingest", "simulate", "evaluate"])
+def test_undecodable_or_overlong_csv_exits_2(tmp_path, capsys, command, fault):
+    stations = write_stations(tmp_path / "stations.csv")
+    out = tmp_path / "out.csv"
+    bad = tmp_path / "bad.csv"
+    if command == "ingest":
+        lines = write_readings(tmp_path / "r.csv").read_text("utf-8").splitlines()
+        bad.write_bytes(_corrupt_line_3(lines, 2, fault))
+        argv = ["ingest", "--stations", str(stations), "--readings", str(bad)]
+    elif command == "simulate":
+        lines = ["station_id,value"] + [f"s{i},{i}.5" for i in range(N_STATIONS)]
+        bad.write_bytes(_corrupt_line_3(lines, 1, fault))
+        argv = ["simulate", "--mode", "diffusion", "--graph", str(stations),
+                "--x0", str(bad), "--t", "1"]
+    else:
+        lines = ["timestamp,station_id,pm25_pred"] + [
+            f"{START.isoformat()},s{i},{i}.5" for i in range(N_STATIONS)]
+        good = tmp_path / "truth.csv"
+        good.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        bad.write_bytes(_corrupt_line_3(lines, 2, fault))
+        argv = ["evaluate", "--pred", str(bad), "--truth", str(good)]
+    if command != "evaluate":
+        argv += ["--out", str(out)]
+    assert cli_dispatch(argv) == 2
+    err = capsys.readouterr().err
+    if fault == "not-utf8":
+        assert f"aircast: error: {bad}: not UTF-8 text" in err
+    else:
+        assert f"aircast: error: {bad}:3: field larger than field limit" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def write_eval_pair(tmp_path):
     times = [(START + timedelta(hours=3 * k)).isoformat() for k in range(4)]
     truth_vals = [55.0, 80.0, 85.0, 40.0]
@@ -1064,6 +1109,28 @@ def test_malformed_dataset_arrays_exit_2(pipeline, tmp_path, capsys, name,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("change, problem", [
+    (lambda a: np.full(a.shape, "abc"), "is <U3, not a float array"),
+    (lambda a: a + 1j, "is complex128, not a float array"),
+    (lambda a: a > 0, "is bool, not a float array"),
+    (lambda a: np.vstack([[[np.nan]], a[1:]]), "holds a non-finite value"),
+], ids=["str", "complex", "bool", "nan"])
+def test_predict_rejects_non_float_checkpoint_arrays(pipeline, tmp_path, capsys,
+                                                     change, problem):
+    with np.load(pipeline["ckpt"]) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    arrays["decoder.w"] = change(arrays["decoder.w"])
+    ckpt = tmp_path / "ckpt.npz"
+    np.savez(ckpt, **arrays)
+    out = tmp_path / "p.csv"
+    assert cli_dispatch(["predict", "--checkpoint", str(ckpt), "--data",
+                         str(pipeline["data"]), "--horizon", "24h", "--out",
+                         str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"aircast: error: {ckpt}: array 'decoder.w' {problem}\n" in err
+    assert not out.exists()
+
+
 def test_load_config_defaults_and_sections(tmp_path):
     model_cfg, train_cfg, solver_cfg = load_config(None)
     assert model_cfg.history_steps == 24
@@ -1113,6 +1180,27 @@ def test_load_config_rejects_bad_settings(tmp_path, section, line, message):
     ini.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         load_config(ini)
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"[model]\ngate_mode = learned%\n", "gate_mode must be one of"),
+    (b"[DEFAULT]\nseed = 5\n", "unknown config section [DEFAULT]"),
+    (b"[DEFAULT]\nseed = 5\n[model]\nlatent_dim = 4\n",
+     "unknown config section [DEFAULT]"),
+    (b"[model]\ngate_mode = learned\xff\n", "{ini}: not UTF-8 text"),
+], ids=["percent", "default-alone", "default-with-model", "not-utf8"])
+def test_config_values_are_literal_utf8_without_default_section(
+        pipeline, tmp_path, capsys, text, message):
+    ini = tmp_path / "c.ini"
+    ini.write_bytes(text)
+    message = message.format(ini=ini)
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        load_config(ini)
+    out_dir = tmp_path / "run"
+    assert cli_dispatch(["train", "--config", str(ini), "--data",
+                         str(pipeline["data"]), "--out-dir", str(out_dir)]) == 2
+    assert f"aircast: error: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_seed_env_overrides_config(tmp_path, monkeypatch):

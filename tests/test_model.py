@@ -14,7 +14,8 @@ from aircast.graph import SensorGraph, Station
 from aircast.errors import (ConfigurationError, ContractError, DataError,
                             DimensionError, FormatError)
 from aircast.odeint import SolverConfig
-from aircast.model import (DecoderParams, GRUParams, LatentHeadParams, Model,
+from aircast.physics import MLPParams
+from aircast.model import (DecoderParams, GRUParams, Model,
                            ModelCheckpoint, ModelConfig, config_from_dict,
                            decode_trajectory, encode_history, gru_step,
                            latent_head, load_checkpoint, make_checkpoint,
@@ -122,7 +123,7 @@ def test_gru_step_gradient(rng):
 
 
 def test_latent_head_matches_numpy_oracle(rng):
-    params = LatentHeadParams.create(rng, 5, 4, 3)
+    params = MLPParams.create(rng, 5, 4, 6, "head")
     h = rng.standard_normal((6, 5))
     with no_grad():
         mu, sigma = latent_head(Tensor(h), params)
@@ -135,7 +136,7 @@ def test_latent_head_matches_numpy_oracle(rng):
 
 def test_encode_history_single_step_equals_gru_plus_head(rng):
     gru = GRUParams.create(rng, 4)
-    head = LatentHeadParams.create(rng, 4, 3, 2)
+    head = MLPParams.create(rng, 4, 3, 4, "head")
     x = rng.standard_normal((1, 5, 1))
     with no_grad():
         mu, sigma = encode_history(x, gru, head)
@@ -147,7 +148,7 @@ def test_encode_history_single_step_equals_gru_plus_head(rng):
 
 def test_encode_history_rejects_bad_shape(rng):
     gru = GRUParams.create(rng, 4)
-    head = LatentHeadParams.create(rng, 4, 3, 2)
+    head = MLPParams.create(rng, 4, 3, 4, "head")
     with pytest.raises(DimensionError):
         encode_history(np.zeros((3, 5, 2)), gru, head)
 

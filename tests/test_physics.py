@@ -10,16 +10,16 @@ from aircast import graph
 from aircast.autodiff import Parameter, Tensor, backward, no_grad
 from aircast.errors import (ConfigurationError, ContractError, DimensionError,
                             NumericError)
-from aircast.physics import (GATE_MODES, DEFunction, FlowNetParams,
-                             FusionParams, PowerBranchParams, cheb_branch,
+from aircast.physics import (GATE_MODES, DEFunction, FusionParams,
+                             MLPParams, PowerBranchParams, cheb_branch,
                              flow_field_adjacency, flow_potentials,
-                             flow_scaled_laplacian, gate_alpha,
+                             flow_scaled_laplacian, gate_alpha, mlp,
                              simulate_advection_reference,
                              simulate_diffusion_reference, uniform_param)
 
 
 def make_flow(rng, hidden=8):
-    return FlowNetParams.create(rng, hidden=hidden)
+    return MLPParams.create(rng, 2, hidden, 1, "flow")
 
 
 def random_wind(rng, n):
@@ -32,6 +32,30 @@ def test_uniform_param_bounds(rng):
     assert np.abs(p.data).max() <= bound
     assert p.name == "p"
     assert p.data.std() > 0.05
+
+
+def test_mlp_params_draw_order_bounds_and_names():
+    params = MLPParams.create(np.random.default_rng(3), 3, 5, 2, "net")
+    twin = np.random.default_rng(3)
+    bound_in, bound_hidden = 1.0 / np.sqrt(3), 1.0 / np.sqrt(5)
+    expected = [("net.w1", twin.uniform(-bound_in, bound_in, (3, 5))),
+                ("net.b1", twin.uniform(-bound_in, bound_in, (1, 5))),
+                ("net.w2", twin.uniform(-bound_hidden, bound_hidden, (5, 2))),
+                ("net.b2", twin.uniform(-bound_hidden, bound_hidden, (1, 2)))]
+    got = params.parameters()
+    assert got == [params.w1, params.b1, params.w2, params.b2]
+    assert [p.name for p in got] == [name for name, _ in expected]
+    for p, (_, values) in zip(got, expected):
+        np.testing.assert_array_equal(p.data, values)
+
+
+def test_mlp_matches_numpy_oracle_bitwise(rng):
+    params = MLPParams.create(rng, 3, 5, 2, "net")
+    x = rng.standard_normal((2, 4, 3))
+    with no_grad():
+        got = mlp(Tensor(x), params).data
+    w1, b1, w2, b2 = (p.data for p in params.parameters())
+    np.testing.assert_array_equal(got, np.tanh(x @ w1 + b1) @ w2 + b2)
 
 
 def test_flow_potentials_shape_and_validation(rng):
@@ -193,7 +217,7 @@ def make_de_function(rng, n=4, latent=3, gate_mode="learned", order=2, layers=1)
     dist_lap = graph.scaled_laplacian(w)
     func = DEFunction(
         dist_lap=dist_lap,
-        flow=FlowNetParams.create(rng, hidden=4),
+        flow=MLPParams.create(rng, 2, 4, 1, "flow"),
         diff_branch=PowerBranchParams.create(rng, latent, order=order,
                                             layers=layers, prefix="cd"),
         adv_branch=PowerBranchParams.create(rng, latent, order=order,
@@ -235,7 +259,7 @@ def test_de_function_diff_only_oracle(rng):
     with no_grad():
         got = func(0.0, Tensor(z)).data
         coeff = func.diffusion_coefficient().data
-    expected = -coeff * cheb_oracle(func.dist_lap.matrix, z, func.diff_branch)
+    expected = -coeff * cheb_oracle(func.dist_tensor.data, z, func.diff_branch)
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -255,10 +279,10 @@ def test_de_function_learned_combines_branches(rng):
         got = func(0.0, Tensor(z)).data
         coeff = func.diffusion_coefficient().data
         alpha = gate_alpha(
-            Tensor(cheb_oracle(func.dist_lap.matrix, z, func.diff_branch)),
+            Tensor(cheb_oracle(func.dist_tensor.data, z, func.diff_branch)),
             Tensor(cheb_oracle(func.flow_lap.data, z, func.adv_branch)),
             func.fusion).data
-    h_diff = cheb_oracle(func.dist_lap.matrix, z, func.diff_branch)
+    h_diff = cheb_oracle(func.dist_tensor.data, z, func.diff_branch)
     h_adv = cheb_oracle(func.flow_lap.data, z, func.adv_branch)
     expected = -(alpha * coeff * h_diff + (1 - alpha) * h_adv)
     np.testing.assert_allclose(got, expected, atol=1e-12)

@@ -2,6 +2,7 @@
 reproducibility of the full loop."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ def test_early_stopping_rules(monkeypatch):
         model = tiny_model()
         cfg = TrainConfig(batch_size=8, learning_rate=1e-2, max_epochs=10,
                           patience=patience, seed=0)
-        ckpt, rows = train_loop(model, tiny_split(), cfg)
+        ckpt, rows = train_loop(model, tiny_split(), cfg, os.devnull)
         assert [r["val_mae"] for r in rows] == val_maes[:epochs]
         best = snapshots[best_epoch - 1]
         assert any((best[k] != snapshots[-1][k]).any() for k in best)
@@ -178,7 +179,7 @@ def test_non_finite_validation_mae_names_epoch(monkeypatch, tmp_path, bad):
 def test_train_loop_checkpoint_arrays_are_copies():
     model = tiny_model()
     cfg = TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=0)
-    ckpt, _ = train_loop(model, tiny_split(), cfg)
+    ckpt, _ = train_loop(model, tiny_split(), cfg, os.devnull)
     before = {name: a.copy() for name, a in ckpt.arrays.items()}
     for p in model.parameters():
         p.data += 1.0
@@ -234,7 +235,7 @@ def test_train_loop_logs_grad_norm_mean_and_last_diffusion_coeff(monkeypatch):
     split = tiny_split()
     cfg = TrainConfig(batch_size=8, learning_rate=1e-3, max_epochs=1,
                       patience=1, seed=1)
-    _, rows = train_loop(model, split, cfg)
+    _, rows = train_loop(model, split, cfg, os.devnull)
     assert len(norms) == math.ceil(len(split.train) / 8) > 1
     assert rows[0]["grad_norm"] == sum(norms) / len(norms)
     # one epoch is the best epoch, so the model keeps its last step's values
@@ -246,7 +247,7 @@ def test_train_loop_leaves_tape_empty():
     # nothing recorded after the last backward() may leak into the next run
     split = tiny_split()
     cfg = TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=1)
-    train_loop(tiny_model(), split, cfg)
+    train_loop(tiny_model(), split, cfg, os.devnull)
     assert ad.tape_size() == 0
 
 
@@ -267,8 +268,10 @@ def test_train_loop_bitwise_reproducible(tmp_path):
 def test_train_loop_seed_changes_run():
     split = tiny_split()
     base = dict(batch_size=8, learning_rate=1e-3, max_epochs=1, patience=1)
-    _, rows_a = train_loop(tiny_model(), split, TrainConfig(seed=0, **base))
-    _, rows_b = train_loop(tiny_model(), split, TrainConfig(seed=1, **base))
+    _, rows_a = train_loop(tiny_model(), split, TrainConfig(seed=0, **base),
+                          os.devnull)
+    _, rows_b = train_loop(tiny_model(), split, TrainConfig(seed=1, **base),
+                          os.devnull)
     assert rows_a[0]["train_mae"] != rows_b[0]["train_mae"]
 
 
@@ -277,7 +280,7 @@ def test_train_loop_restores_best_epoch():
     cfg = TrainConfig(batch_size=8, learning_rate=5e-2, max_epochs=4,
                       patience=4, seed=2)
     model = tiny_model()
-    ckpt, rows = train_loop(model, split, cfg)
+    ckpt, rows = train_loop(model, split, cfg, os.devnull)
     best = min(r["val_mae"] for r in rows)
     from aircast.training import _epoch_eval
     assert _epoch_eval(model, split.val, cfg.batch_size) == best
@@ -304,7 +307,7 @@ def test_train_loop_early_stop_on_frozen_model():
     split = tiny_split()
     cfg = TrainConfig(batch_size=8, learning_rate=0.0, max_epochs=50,
                       patience=1, seed=0)
-    _, rows = train_loop(tiny_model(), split, cfg)
+    _, rows = train_loop(tiny_model(), split, cfg, os.devnull)
     assert len(rows) == 2
     assert rows[0]["val_mae"] == rows[1]["val_mae"]
 
@@ -314,19 +317,21 @@ def test_train_loop_rejects_empty_partitions():
     empty = type(split)(train=[], val=split.val, test=split.test,
                         stats=split.stats, ratio=split.ratio)
     with pytest.raises(ConfigurationError):
-        train_loop(tiny_model(), empty, TrainConfig())
+        train_loop(tiny_model(), empty, TrainConfig(), os.devnull)
 
 
 def test_train_loop_adopts_split_stats():
     split = tiny_split()
     model = tiny_model()
     assert model.stats is None
-    train_loop(model, split, TrainConfig(batch_size=8, max_epochs=1, patience=1))
+    train_loop(model, split, TrainConfig(batch_size=8, max_epochs=1, patience=1),
+               os.devnull)
     assert model.stats is split.stats
     # other stats would de-normalize predictions of split-normalized windows
     model = tiny_model()
     model.stats = NormStats(0.0, 1.0)
     ckpt, _ = train_loop(model, split,
-                         TrainConfig(batch_size=8, max_epochs=1, patience=1))
+                         TrainConfig(batch_size=8, max_epochs=1, patience=1),
+                         os.devnull)
     assert model.stats is split.stats
     assert (ckpt.norm_mean, ckpt.norm_std) == (split.stats.mean, split.stats.std)
