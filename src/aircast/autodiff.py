@@ -1,15 +1,17 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Values live in row-major numpy arrays. Every primitive checks its inputs,
-computes the forward value, and (when gradients are being tracked) appends a
-tape entry. An entry names its output and inputs by their integer keys and
-holds no tensor other than a leaf, so an intermediate is freed as soon as the
-forward drops it. Its closure, which turns the output cotangent into input
-cotangents, keeps only the arrays that formula reads: a matmul by a constant
-Laplacian keeps the Laplacian, not the activation. What stays alive until
-backward() is therefore what the VJPs read, and it grows with batch x horizon.
-backward() replays the tape once in reverse and frees each entry as it is
-used; the tape is rebuilt on every forward pass and confined to one thread.
+Values live in row-major numpy arrays. Every primitive checks its inputs'
+shapes, computes the forward value, and (when gradients are being tracked)
+appends a tape entry; it does not look for NaN or inf in the values (see
+Tensor for where they are caught). An entry names its output and inputs by
+their integer keys and holds no tensor other than a leaf, so an intermediate
+is freed as soon as the forward drops it. Its closure, which turns the output
+cotangent into input cotangents, keeps only the arrays that formula reads: a
+matmul by a constant Laplacian keeps the Laplacian, not the activation. What
+stays alive until backward() is therefore what the VJPs read, and it grows
+with batch x horizon. backward() replays the tape once in reverse and frees
+each entry as it is used; the tape is rebuilt on every forward pass and
+confined to one thread.
 """
 
 from __future__ import annotations
@@ -64,13 +66,22 @@ class Tensor:
     Leaf tensors created with requires_grad=True own a zero-initialized grad
     buffer; tensors produced by primitives keep requires_grad set but receive
     gradients only transiently during backward(), routed by their key.
+
+    Constructing a Tensor or Parameter from values with a NaN or inf is a
+    NumericError, also for a Python number that a primitive wraps. A
+    primitive's output skips that check, so an overflow inside the model
+    travels on as inf or NaN to where values leave it: fixed-step RK4 checks
+    each state, dopri5 each stage's state and each error estimate, mae_loss
+    the loss, Adam the gradients and Model.forecast the de-normalized
+    forecast.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "key")
+    _checked = True  # False on _Unchecked, the primitives' outputs
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
-        if not np.isfinite(arr).all():
+        if self._checked and not np.isfinite(arr).all():
             raise NumericError("non-finite value at tensor construction")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -113,6 +124,13 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
+class _Unchecked(Tensor):
+    """A primitive's output: a Tensor that skips the finiteness check."""
+
+    __slots__ = ()
+    _checked = False
+
+
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -124,7 +142,7 @@ def _result(values: np.ndarray, inputs: tuple, vjp: Callable) -> Tensor:
     where leaf is the tensor itself if it owns a grad buffer and None if it
     is an intermediate, which the entry must not keep alive.
     """
-    out = Tensor(values)
+    out = _Unchecked(values)
     if _grad_enabled() and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         slots = tuple((t.key, t if t.grad is not None else None)
@@ -166,7 +184,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul: incompatible shapes {a.shape} @ {b.shape}") from None
     if not _grad_enabled():  # nothing is recorded, so skip the VJP's captures
-        return Tensor(out)
+        return _Unchecked(out)
     ash, bsh = ad.shape, bd.shape
     for_ga = bd if a.requires_grad else None
     for_gb = ad if b.requires_grad else None
@@ -217,7 +235,7 @@ def mul(a, b) -> Tensor:
     except ValueError:
         raise _no_broadcast("mul", a, b) from None
     if not _grad_enabled():
-        return Tensor(out)
+        return _Unchecked(out)
     ash, bsh = a.shape, b.shape
     for_ga = bd if a.requires_grad else None
     for_gb = ad if b.requires_grad else None

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import no_grad
 from .baselines import fit_var, ha_forecast, var_forecast
 from .data import (DEFAULT_SPLIT, STEP, Dataset, chronological_split,
                    forecast_origins, impute_missing, load_dataset, make_windows,
@@ -77,9 +76,11 @@ def _finite_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
 
 
-def _section_kwargs(cp: configparser.ConfigParser, name: str, cls) -> dict:
+def _section_config(cp: configparser.ConfigParser, path, name: str, cls):
+    """``cls`` built from section [name]: its defaults where the section
+    leaves a field out. An error in a value names the file and section."""
     if not cp.has_section(name):
-        return {}
+        return cls()
     defaults = {f.name: f.default for f in dc_fields(cls)}
     out = {}
     for key, raw in cp.items(name):
@@ -101,12 +102,15 @@ def _section_kwargs(cp: configparser.ConfigParser, name: str, cls) -> dict:
         except ValueError:
             raise ConfigurationError(
                 f"bad value for {key!r} in [{name}]: {raw!r}") from None
-    return out
+    try:
+        return cls(**out)
+    except ConfigurationError as e:
+        raise ConfigurationError(f"{path}: [{name}] {e}") from None
 
 
 def load_config(path=None) -> tuple[ModelConfig, TrainConfig, SolverConfig]:
     """Read the optional INI config; AQC_SEED overrides both seeds."""
-    kwargs = {name: {} for name in CONFIG_SECTIONS}
+    configs = {name: cls() for name, cls in CONFIG_SECTIONS.items()}
     if path is not None:
         # literal values; [DEFAULT] is an ordinary section, so an unknown one
         cp = configparser.ConfigParser(interpolation=None, default_section="")
@@ -122,8 +126,8 @@ def load_config(path=None) -> tuple[ModelConfig, TrainConfig, SolverConfig]:
         for section in cp.sections():
             if section not in CONFIG_SECTIONS:
                 raise ConfigurationError(f"unknown config section [{section}]")
-        for name, cls in CONFIG_SECTIONS.items():
-            kwargs[name] = _section_kwargs(cp, name, cls)
+        configs = {name: _section_config(cp, path, name, cls)
+                   for name, cls in CONFIG_SECTIONS.items()}
     seed_env = os.environ.get(SEED_ENV)
     if seed_env is not None:
         try:
@@ -131,10 +135,9 @@ def load_config(path=None) -> tuple[ModelConfig, TrainConfig, SolverConfig]:
         except ValueError:
             raise ConfigurationError(
                 f"{SEED_ENV} must be an integer, got {seed_env!r}") from None
-        kwargs["model"]["seed"] = seed
-        kwargs["train"]["seed"] = seed
-    return (ModelConfig(**kwargs["model"]), TrainConfig(**kwargs["train"]),
-            SolverConfig(**kwargs["solver"]))
+        for name in ("model", "train"):
+            configs[name] = replace(configs[name], seed=seed)
+    return configs["model"], configs["train"], configs["solver"]
 
 
 def _read_station_csv(path, station_ids, columns) -> np.ndarray:
@@ -275,12 +278,10 @@ def cmd_predict(args) -> int:
             f"{args.horizon} needs {horizon}")
     origins = forecast_origins(dataset.series, cfg.history_steps,
                                cfg.horizon_steps, ckpt.split_ratio)
-    stats = model.stats
-    samples = [replace(w, x_hist=stats.normalize(w.x_hist)) for w in origins]
-    with no_grad():
-        pred = model.forward_batch(samples, "infer", horizon_steps=horizon)
+    samples = [replace(w, x_hist=model.stats.normalize(w.x_hist))
+               for w in origins]
     # (horizon, origins * n): each origin's n stations side by side
-    forecasts = stats.denormalize(pred.data[:, :, 0])
+    forecasts = model.forecast(samples, horizon)[:, :, 0]
     forecasts = forecasts.reshape(horizon, len(origins), -1).swapaxes(0, 1)
     _write_forecasts(args, origins, dataset.series.station_ids, cfg.history_steps,
                      horizon, forecasts, "{rows} rows from {origins} forecast "
@@ -358,10 +359,19 @@ def cmd_simulate(args) -> int:
 
 
 def _read_matrix_csv(path, n) -> np.ndarray:
-    """Headerless n-by-n CSV of finite numbers."""
-    rows = [[parse_finite(text, path, lineno, f"column {j}")
-             for j, text in enumerate(row, start=1)]
-            for lineno, row in table_rows(path, fields=n)]
+    """Headerless n-by-n CSV of finite, non-negative numbers with a zero
+    diagonal: rates for simulate_advection_reference."""
+    rows = []
+    for lineno, row in table_rows(path, fields=n):
+        diagonal = len(rows) + 1  # the column of this row's own station
+        values = [parse_finite(text, path, lineno, f"column {j}")
+                  for j, text in enumerate(row, start=1)]
+        for j, value in enumerate(values, start=1):
+            if value < 0:
+                raise ParseError(f"{path}:{lineno}: negative column {j}")
+            if value != 0 and j == diagonal:
+                raise ParseError(f"{path}:{lineno}: non-zero diagonal column {j}")
+        rows.append(values)
     if len(rows) != n:
         raise DataError(f"{path}: expected a {n}x{n} matrix, got {len(rows)} rows")
     return np.array(rows)

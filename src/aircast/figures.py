@@ -9,7 +9,9 @@ fitted to the canvas.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+# not xml.sax.saxutils's escape, whose import loads urllib.request; with
+# quote=False this one escapes the same three characters, &, < and >
+from html import escape
 
 import numpy as np
 
@@ -71,7 +73,7 @@ def _svg_open(title: str) -> list[str]:
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS_W}" '
         f'height="{CANVAS_H}" viewBox="0 0 {CANVAS_W} {CANVAS_H}">',
-        f'<title>{escape(title)}</title>',
+        f'<title>{escape(title, quote=False)}</title>',
         f'<rect width="{CANVAS_W}" height="{CANVAS_H}" fill="white"/>',
     ]
 
@@ -91,7 +93,7 @@ def _station_markers(stations, xy, colors) -> list[str]:
                      f'fill="{fill}" stroke="#333333" stroke-width="1"/>')
         parts.append(f'<text x="{_fmt(x + 10)}" y="{_fmt(y - 10)}" '
                      f'font-family="sans-serif" font-size="11" '
-                     f'fill="#222222">{escape(s.station_id)}</text>')
+                     f'fill="#222222">{escape(s.station_id, quote=False)}</text>')
     return parts
 
 
@@ -196,5 +198,5 @@ def render_diffusion_lines(graph: SensorGraph, field: np.ndarray,
     for k, line in enumerate(legend):
         parts.append(f'<text x="{_fmt(MARGIN)}" y="{_fmt(CANVAS_H - 48.0 + 14.0 * k)}" '
                      f'font-family="sans-serif" font-size="12" '
-                     f'fill="#222222">{escape(line)}</text>')
+                     f'fill="#222222">{escape(line, quote=False)}</text>')
     return _svg_close(parts, path)

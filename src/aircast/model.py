@@ -24,7 +24,7 @@ from .autodiff import Parameter, Tensor, no_grad
 from .data import (DEFAULT_SPLIT, NUMBER, NormStats, WindowSample, check_ratio,
                    has_type, load_container, save_container)
 from .errors import (ConfigurationError, ContractError, DataError,
-                     DimensionError, FormatError)
+                     DimensionError, FormatError, NumericError)
 from .graph import ScaledLaplacian, SensorGraph, scaled_laplacian
 from .odeint import SolverConfig, TimeGrid, ode_solve
 from .physics import (DEFunction, FusionParams, GATE_MODES, MLPParams,
@@ -291,16 +291,29 @@ class Model:
         traj = ode_solve(self.de, z0, grid, self.solver, mode)
         return decode_trajectory(traj, self.decoder)
 
-    def forward_sample(self, sample: WindowSample) -> np.ndarray:
-        """De-normalized inference forecast (horizon, n, 1) in ug/m3 for one
-        sample."""
+    def forecast(self, samples: Sequence[WindowSample],
+                 horizon_steps: int | None = None) -> np.ndarray:
+        """De-normalized inference forecasts (horizon, batch*n, 1) in ug/m3,
+        sample-major rows as in forward_batch. A NaN or inf in them is a
+        NumericError naming the lowest such sample."""
         if self.stats is None:
             raise ConfigurationError(
                 "model has no normalization statistics; attach stats or load "
                 "a checkpoint")
         with no_grad():
-            pred = self.forward_batch([sample], "infer")
-        return self.stats.denormalize(pred.data)
+            pred = self.forward_batch(samples, "infer",
+                                      horizon_steps=horizon_steps)
+        out = self.stats.denormalize(pred.data)
+        finite = np.isfinite(out).reshape(out.shape[0], len(samples), -1)
+        if (bad := ~finite.all(axis=(0, 2))).any():
+            raise NumericError(
+                f"non-finite forecast for sample {int(np.argmax(bad))}")
+        return out
+
+    def forward_sample(self, sample: WindowSample) -> np.ndarray:
+        """De-normalized inference forecast (horizon, n, 1) in ug/m3 for one
+        sample."""
+        return self.forecast([sample])
 
 
 CHECKPOINT_FORMAT = "aircast-checkpoint-v1"

@@ -93,16 +93,16 @@ def fixed_step_integrate(f: Callable[[float, Tensor], Tensor], z0: Tensor,
 
     Each grid interval is one classical RK4 step, so a finer grid gives
     smaller steps. Gradients flow through the unrolled update, so z0 and any
-    parameter used by f receive cotangents from backward().
+    parameter used by f receive cotangents from backward(). A state with a
+    NaN or inf is a NumericError naming its interval.
     """
     z = z0
     states = []
     times = grid.times
     for i in range(times.size - 1):
-        try:
-            z = _rk4_step(f, times[i], z, times[i + 1] - times[i])
-        except NumericError as e:
-            raise NumericError(f"non-finite state in interval {i + 1}: {e}") from None
+        z = _rk4_step(f, times[i], z, times[i + 1] - times[i])
+        if not np.isfinite(z.data).all():
+            raise NumericError(f"non-finite state in interval {i + 1}")
         states.append(z)
     return stack(states)
 
@@ -183,8 +183,9 @@ def dopri5_integrate_stats(f: Callable[[np.ndarray, Tensor], Tensor],
     array of per-sample times.
     `accepted` and `rejected` sum over samples; `f_evals` counts calls of f,
     6 per attempt plus the initial one. Logs the statistics at INFO through
-    the `aircast.odeint` logger. An error names the lowest offending sample,
-    a spent step budget before an underflow.
+    the `aircast.odeint` logger. A NaN or inf in the state f is given at
+    any stage, or in an error estimate, is a NumericError; an error names the
+    lowest offending sample, a spent step budget before an underflow.
     """
     if z0.data.ndim != 3:
         raise DimensionError(
@@ -199,7 +200,13 @@ def dopri5_integrate_stats(f: Callable[[np.ndarray, Tensor], Tensor],
 
         def fnp(t, arr):
             stats.f_evals += 1
-            return f(t, Tensor(arr)).data
+            try:
+                z = Tensor(arr)
+            except NumericError:
+                bad = ~np.isfinite(arr.reshape(batch, -1)).all(axis=1)
+                raise NumericError("non-finite state in the step from "
+                                   f"{at(int(np.argmax(bad)))}") from None
+            return f(t, z).data
 
         def at(b):
             return f"t={t[b]:.6g} in sample {b}"

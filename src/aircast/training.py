@@ -55,12 +55,16 @@ class TrainConfig:
 
 
 def mae_loss(pred: Tensor, truth) -> Tensor:
-    """Mean absolute deviation over all entries (normalized units)."""
+    """Mean absolute deviation over all entries (normalized units); a
+    non-finite loss is a NumericError."""
     truth = truth if isinstance(truth, Tensor) else Tensor(truth)
     if pred.shape != truth.shape:
         raise ConfigurationError(
             f"prediction {pred.shape} and truth {truth.shape} differ")
-    return ad.reduce_mean(ad.absolute(ad.sub(pred, truth)))
+    loss = ad.reduce_mean(ad.absolute(ad.sub(pred, truth)))
+    if not math.isfinite(loss.item()):
+        raise NumericError(f"MAE loss is {loss.item()}")
+    return loss
 
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:

@@ -19,6 +19,14 @@ def test_tensor_rejects_non_finite():
         Tensor(np.inf)
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_primitive_outputs_are_not_checked():
+    # an overflow propagates; the solvers, the loss and the CLI catch it
+    assert ad.mul(Tensor([1e308]), 10.0).data[0] == np.inf
+    with no_grad():
+        assert ad.matmul(Tensor([[1e308]]), Tensor([[10.0]])).data[0, 0] == np.inf
+
+
 def test_leaf_grad_buffer():
     t = Tensor([1.0, 2.0], requires_grad=True)
     assert t.grad is not None and (t.grad == 0).all()

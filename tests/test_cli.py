@@ -2,15 +2,20 @@
 from raw CSVs through training, forecasting, and evaluation."""
 
 import csv
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from collections import defaultdict
 from dataclasses import replace
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aircast
 from aircast.autodiff import no_grad
 from aircast.baselines import fit_var, ha_forecast, var_forecast
 from aircast.cli import (SEED_ENV, _read_forecast_csv, _read_matrix_csv,
@@ -114,6 +119,17 @@ def pipeline(tmp_path_factory):
             "config": config, "data": data, "ckpt": ckpt, "pred": pred,
             "truth": truth, "ha": ha, "var": var,
             "log": out_dir / "training_log.csv"}
+
+
+def test_cli_import_leaves_out_urllib():
+    # a cold `aircast` process pays for every import: xml.sax.saxutils, once
+    # used for SVG escaping, pulled in urllib.request
+    src = str(Path(aircast.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, aircast.cli; print('urllib.request' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "False\n"
 
 
 def test_ingest_output(pipeline):
@@ -633,6 +649,25 @@ def test_simulate_rejects_non_finite_velocity(tmp_path, capsys, bad):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0,0.5,0\n\n0,0,-1\n0,0,0\n", "3: negative column 3"),
+    ("0,0.5,0\n\n0,2,0\n0,0,0\n", "3: non-zero diagonal column 2"),
+], ids=["negative", "diagonal"])
+def test_simulate_velocity_errors_name_line_and_column(tmp_path, capsys, text,
+                                                      message):
+    stations = write_stations(tmp_path / "stations.csv", n=3)
+    x0 = tmp_path / "x0.csv"
+    x0.write_text("station_id,value\ns0,10\ns1,20\ns2,30\n", encoding="utf-8")
+    vel = tmp_path / "vel.csv"
+    vel.write_text(text, encoding="utf-8")  # line 2 is blank: row 2 is line 3
+    assert cli_dispatch(["simulate", "--mode", "advection", "--graph",
+                         str(stations), "--x0", str(x0), "--t", "1.0",
+                         "--velocities", str(vel),
+                         "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == f"aircast: error: {vel}:{message}\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_simulate_rejects_ragged_velocity_rows(tmp_path, capsys):
     stations = write_stations(tmp_path / "stations.csv", n=3)
     x0 = tmp_path / "x0.csv"
@@ -1033,23 +1068,26 @@ def test_predict_rejects_bad_checkpoint_solver(pipeline, tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("ini, env", [
-    ("[model]\nseed = -1\n", None),
-    ("[train]\nseed = -1\n", None),
-    ("", "-5"),
+@pytest.mark.parametrize("section, env", [
+    ("model", None),
+    ("train", None),
+    (None, "-5"),
 ], ids=["model", "train", "env"])
-def test_negative_seed_exits_2(pipeline, tmp_path, capsys, monkeypatch, ini,
-                               env):
+def test_negative_seed_exits_2(pipeline, tmp_path, capsys, monkeypatch,
+                               section, env):
     config = tmp_path / "c.ini"
-    config.write_text(ini, encoding="utf-8")
+    config.write_text(f"[{section}]\nseed = -1\n" if section else "",
+                      encoding="utf-8")
     monkeypatch.delenv(SEED_ENV, raising=False)
     if env is not None:
         monkeypatch.setenv(SEED_ENV, env)
     out_dir = tmp_path / "run"
     assert cli_dispatch(["train", "--config", str(config), "--data",
                          str(pipeline["data"]), "--out-dir", str(out_dir)]) == 2
+    # a seed from the file names the file and section, one from AQC_SEED not
+    where = f"{config}: [{section}] " if section else ""
     seed = env or "-1"
-    assert (f"aircast: error: seed must be non-negative, got {seed}\n"
+    assert (f"aircast: error: {where}seed must be non-negative, got {seed}\n"
             == capsys.readouterr().err)
     assert not out_dir.exists()
 
@@ -1131,6 +1169,24 @@ def test_predict_rejects_non_float_checkpoint_arrays(pipeline, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_predict_rejects_overflowing_forecast(pipeline, tmp_path, capsys):
+    # finite decoder weights whose forecast overflows: it is checked before
+    # either CSV is written
+    with np.load(pipeline["ckpt"]) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    arrays["decoder.w"] = np.full_like(arrays["decoder.w"], 1e308)
+    ckpt = tmp_path / "ckpt.npz"
+    np.savez(ckpt, **arrays)
+    out, truth = tmp_path / "p.csv", tmp_path / "t.csv"
+    assert cli_dispatch(["predict", "--checkpoint", str(ckpt), "--data",
+                         str(pipeline["data"]), "--horizon", "24h", "--out",
+                         str(out), "--truth-out", str(truth)]) == 2
+    assert "aircast: error: non-finite forecast for sample " in \
+        capsys.readouterr().err
+    assert not out.exists() and not truth.exists()
+
+
 def test_load_config_defaults_and_sections(tmp_path):
     model_cfg, train_cfg, solver_cfg = load_config(None)
     assert model_cfg.history_steps == 24
@@ -1173,17 +1229,23 @@ def test_load_config_error_taxonomy(tmp_path):
     ("solver", "method = dopri5", "unknown key 'method' in [solver]"),
     ("solver", "safety = 0.9", "unknown key 'safety' in [solver]"),
     ("solver", "factor_max = 5", "unknown key 'factor_max' in [solver]"),
+    # a value the dataclass's own check rejects names the file and section
+    ("model", "latent_dim = 0", "{ini}: [model] latent_dim must be at least 1"),
+    ("train", "batch_size = 0", "{ini}: [train] batch_size must be at least 1"),
+    ("solver", "max_steps = 0", "{ini}: [solver] max_steps must be at least 1"),
 ], ids=["nan-clip_norm", "inf-rtol", "inf-diffusion_coeff_init", "method",
-        "safety", "factor_max"])
+        "safety", "factor_max", "latent_dim", "batch_size", "max_steps"])
 def test_load_config_rejects_bad_settings(tmp_path, section, line, message):
     ini = tmp_path / "c.ini"
     ini.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
-    with pytest.raises(ConfigurationError, match=re.escape(message)):
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(message.format(ini=ini))):
         load_config(ini)
 
 
 @pytest.mark.parametrize("text, message", [
-    (b"[model]\ngate_mode = learned%\n", "gate_mode must be one of"),
+    (b"[model]\ngate_mode = learned%\n",
+     "{ini}: [model] gate_mode must be one of"),
     (b"[DEFAULT]\nseed = 5\n", "unknown config section [DEFAULT]"),
     (b"[DEFAULT]\nseed = 5\n[model]\nlatent_dim = 4\n",
      "unknown config section [DEFAULT]"),

@@ -296,6 +296,19 @@ def test_dopri5_step_budget_is_per_sample(rng):
                                Tensor(np.ones((3, n, 1))), grid, cfg)
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_dopri5_overflow_names_sample():
+    # z' = 1e300 z^3 overflows inside a primitive for the samples away from 0
+    def explode(t, z):
+        return ad.mul(ad.mul(z, z), z) * 1e300
+
+    z0 = Tensor(np.array([0.0, 10.0, 10.0]).reshape(3, 1, 1))
+    with pytest.raises(NumericError,
+                       match=r"^non-finite state in the step from t=0 in "
+                             r"sample 1$"):
+        dopri5_integrate_stats(explode, z0, TimeGrid([0.0, 1.0]))
+
+
 def test_ode_solve_train_mode_is_differentiable(rng):
     a = rng.standard_normal((2, 2)) * 0.4
     w = Parameter(a, "w")

@@ -52,6 +52,13 @@ def test_mae_loss_hand_value():
         mae_loss(pred, np.zeros((2, 1)))
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_mae_loss_rejects_non_finite_prediction():
+    pred = ad.mul(Tensor([[1e308], [1.0]]), 10.0)  # a primitive overflows
+    with pytest.raises(NumericError, match="^MAE loss is inf$"):
+        mae_loss(pred, np.zeros((2, 1)))
+
+
 def test_mae_loss_gradient_is_scaled_sign():
     p = Parameter(np.array([[1.0, -2.0], [0.5, 3.0]]), "p")
     backward(mae_loss(p, np.zeros((2, 2))))
