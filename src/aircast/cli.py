@@ -1,5 +1,8 @@
 """Command line surface: ingest, train, predict, evaluate, baseline,
-simulate, plot.
+simulate diffusion|advection, plot wind-heatmap|diffusion-lines.
+
+Each mode of simulate and plot is a subcommand with only the flags it reads,
+so any other flag is a usage error rather than being ignored.
 
 Exit codes: 0 success, 1 usage error, 2 data or numeric error. The
 config file is UTF-8 INI with [model], [train], and [solver] sections;
@@ -43,16 +46,6 @@ SEED_ENV = "AQC_SEED"
 SPARSE_SPLIT = (3, 1, 6)
 CONFIG_SECTIONS = {"model": ModelConfig, "train": TrainConfig,
                    "solver": SolverConfig}
-# Flags that only one mode reads: flag -> (the option that sets the mode, the
-# value it must have, or None where it need only be given, and whether the
-# mode needs the flag). Anywhere else the flag would be ignored, and a mode
-# that needs it would fail, so either is a usage error.
-MODE_FLAGS = {
-    "city": ("sudden_change", None, True),
-    "velocities": ("mode", "advection", False),
-    "wind": ("type", "wind-heatmap", True),
-    "source": ("type", "diffusion-lines", True),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -331,7 +324,8 @@ def cmd_evaluate(args) -> int:
         # the truth one step later; NaN where there is none never flags
         later = np.array([truth.get((ts + STEP, sid), np.nan)
                           for ts, sid in keys])
-        mask = sudden_change_mask(np.stack([t, later]), CITY_LEVELS[args.city])[0]
+        mask = sudden_change_mask(np.stack([t, later]),
+                                  CITY_LEVELS[args.sudden_change])[0]
         report = masked_metrics(p, t, mask)
         print(f"sudden_change mae={report.mae!r} rmse={report.rmse!r} "
               f"points={report.n_points}")
@@ -394,7 +388,8 @@ def cmd_plot(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="aircast",
                      description="physics-guided PM2.5 forecasting")
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command",
+                                required=True)
 
     p = sub.add_parser("ingest", help="raw CSVs to a processed dataset")
     p.add_argument("--stations", required=True)
@@ -424,8 +419,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="score a forecast CSV against truth")
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--sudden-change", action="store_true")
-    p.add_argument("--city", choices=list(CITY_LEVELS), default=None)
+    p.add_argument("--sudden-change", metavar="CITY", choices=list(CITY_LEVELS),
+                   default=None, help="also score the sudden-change points at "
+                   "this city's level")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("baseline", help="historical-average or VAR forecast")
@@ -441,47 +437,48 @@ def build_parser() -> _Parser:
     p.add_argument("--truth-out", default=None)
     p.set_defaults(func=cmd_baseline)
 
+    # flags shared by modes, declared once and inherited through parents=
+    diffusion = argparse.ArgumentParser(add_help=False)
+    diffusion.add_argument("--k", type=_finite_float, default=0.1,
+                           help="diffusion coefficient, non-negative "
+                           "(default: 0.1)")
+    simulate = argparse.ArgumentParser(add_help=False)
+    simulate.add_argument("--graph", required=True, help="stations CSV")
+    simulate.add_argument("--x0", required=True, help="station_id,value CSV")
+    simulate.add_argument("--t", required=True, type=_finite_float)
+    simulate.add_argument("--out", required=True)
+    plot = argparse.ArgumentParser(add_help=False)
+    plot.add_argument("--stations", required=True)
+    plot.add_argument("--field", required=True, help="station_id,value CSV")
+    plot.add_argument("--out", required=True)
+
     p = sub.add_parser("simulate", help="run a reference physics simulator")
-    p.add_argument("--mode", required=True, choices=["diffusion", "advection"])
-    p.add_argument("--graph", required=True, help="stations CSV")
-    p.add_argument("--x0", required=True, help="station_id,value CSV")
-    p.add_argument("--t", required=True, type=_finite_float)
-    p.add_argument("--out", required=True)
-    p.add_argument("--k", type=_finite_float, default=0.1,
-                   help="diffusion coefficient (diffusion mode)")
-    p.add_argument("--velocities", default=None,
-                   help="headerless NxN edge-velocity CSV (advection mode)")
     p.set_defaults(func=cmd_simulate)
+    modes = p.add_subparsers(dest="mode", metavar="mode", required=True)
+    modes.add_parser("diffusion", parents=[simulate, diffusion],
+                     help="diffusion on the distance graph")
+    p = modes.add_parser("advection", parents=[simulate],
+                         help="transport along directed edge rates")
+    p.add_argument("--velocities", default=None,
+                   help="headerless NxN edge-rate CSV (default: the "
+                   "distance graph's weights)")
 
     p = sub.add_parser("plot", help="render an SVG figure")
-    p.add_argument("--type", required=True,
-                   choices=["wind-heatmap", "diffusion-lines"])
-    p.add_argument("--stations", required=True)
-    p.add_argument("--field", required=True, help="station_id,value CSV")
-    p.add_argument("--out", required=True)
-    p.add_argument("--wind", default=None, help="station_id,u,v CSV")
-    p.add_argument("--source", default=None, help="source station id")
-    p.add_argument("--k", type=_finite_float, default=0.1)
     p.set_defaults(func=cmd_plot)
+    types = p.add_subparsers(dest="type", metavar="type", required=True)
+    p = types.add_parser("wind-heatmap", parents=[plot],
+                         help="concentration and wind arrows per station")
+    p.add_argument("--wind", required=True, help="station_id,u,v CSV")
+    p = types.add_parser("diffusion-lines", parents=[plot, diffusion],
+                         help="diffusive flux between one station and the rest")
+    p.add_argument("--source", required=True, help="source station id")
 
     return parser
 
 
 def cli_dispatch(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if not getattr(args, "func", None):
-            parser.error("a command is required")
-        for flag, (option, value, needed) in MODE_FLAGS.items():
-            mode = getattr(args, option, None)
-            read = mode not in (None, False) if value is None else mode == value
-            given = getattr(args, flag, None) not in (None, False)
-            need = option if value is None else f"{option} {value}"
-            if given and not read:
-                parser.error(f"--{flag} requires --{need}".replace("_", "-"))
-            if read and needed and not given:
-                parser.error(f"--{need} requires --{flag}".replace("_", "-"))
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -15,7 +15,8 @@ from html import escape
 
 import numpy as np
 
-from .errors import DimensionError, UnknownStationError
+from .errors import (ContractError, DimensionError, NumericError,
+                     UnknownStationError)
 from .graph import SensorGraph, Station
 
 CANVAS_W = 800
@@ -58,7 +59,8 @@ def _lerp_color(lo, hi, t: float) -> str:
 
 def heat_color(value: float, vmax: float) -> str:
     """Linear colormap over [0, vmax]; vmax <= 0 pins everything low."""
-    t = value / vmax if vmax > 0 else 0.0
+    # clamped before dividing, so a tiny vmax cannot overflow the quotient
+    t = min(max(value, 0.0), vmax) / vmax if vmax > 0 else 0.0
     return _lerp_color(HEAT_LOW, HEAT_HIGH, t)
 
 
@@ -102,7 +104,8 @@ def render_wind_heatmap(stations: list[Station], field: np.ndarray,
     """Station map: circles colored by concentration, arrows by wind.
 
     Arrow length is proportional to wind speed; stations with exactly
-    zero wind get no arrow. Writes the SVG to ``path`` and returns it.
+    zero wind get no arrow. A wind whose arrow length overflows is a
+    NumericError. Writes the SVG to ``path`` and returns it.
     """
     field = np.asarray(field, dtype=np.float64).reshape(-1)
     wind = np.asarray(wind, dtype=np.float64)
@@ -115,10 +118,14 @@ def render_wind_heatmap(stations: list[Station], field: np.ndarray,
     vmax = float(field.max()) if n else 0.0
     colors = [heat_color(v, vmax) for v in field]
     parts = _svg_open("wind and concentration map")
-    for (x, y), (u, v) in zip(xy, wind):
+    for s, (x, y), (u, v) in zip(stations, xy, wind):
         speed = math.hypot(u, v)
         if speed == 0.0:
             continue
+        # a finite length bounds u and v too, so no coordinate overflows
+        if not math.isfinite(speed * ARROW_SCALE):
+            raise NumericError(f"wind at station {s.station_id!r} is too "
+                               f"strong to draw: speed {speed:.4g}")
         # screen y grows downward, so northward wind points up
         tip_x = x + u * ARROW_SCALE
         tip_y = y - v * ARROW_SCALE
@@ -145,8 +152,11 @@ def diffusion_flux(weights: np.ndarray, field: np.ndarray, src: int,
     """Pairwise diffusive flux coefficient * w_ij * (x_i - x_j) out of node i.
 
     Positive entries mean flow away from the source node (it sits higher
-    than the neighbor); the source's own entry is zero.
+    than the neighbor); the source's own entry is zero. A negative
+    coefficient, which would turn inflow into outflow, is a ContractError.
     """
+    if coefficient < 0:
+        raise ContractError("diffusion coefficient must be non-negative")
     weights = np.asarray(weights, dtype=np.float64)
     field = np.asarray(field, dtype=np.float64).reshape(-1)
     if weights.shape != (field.size, field.size):
@@ -162,8 +172,8 @@ def render_diffusion_lines(graph: SensorGraph, field: np.ndarray,
     """Instantaneous diffusive exchange between one station and the rest.
 
     Each line from the source carries flux coefficient * w_ij * (x_i - x_j);
-    red means net flow away from the source, blue toward it. Writes the
-    SVG to ``path`` and returns it.
+    red means net flow away from the source, blue toward it. A flux that
+    overflows is a NumericError. Writes the SVG to ``path`` and returns it.
     """
     field = np.asarray(field, dtype=np.float64).reshape(-1)
     stations = list(graph.stations)
@@ -175,7 +185,11 @@ def render_diffusion_lines(graph: SensorGraph, field: np.ndarray,
         raise UnknownStationError(f"unknown source station {source_id!r}")
     src = ids.index(source_id)
     weights = graph.weights
-    flux = diffusion_flux(weights, field, src, coefficient)
+    with np.errstate(over="ignore", invalid="ignore"):
+        flux = diffusion_flux(weights, field, src, coefficient)
+    if (bad := ~np.isfinite(flux)).any():
+        raise NumericError(f"diffusive flux from {source_id!r} to "
+                           f"{ids[int(np.argmax(bad))]!r} is not finite")
     maxabs = float(np.max(np.abs(flux)))
     xy = _mercator_xy(stations)
     vmax = float(field.max()) if n else 0.0

@@ -295,15 +295,16 @@ class Model:
                  horizon_steps: int | None = None) -> np.ndarray:
         """De-normalized inference forecasts (horizon, batch*n, 1) in ug/m3,
         sample-major rows as in forward_batch. A NaN or inf in them is a
-        NumericError naming the lowest such sample."""
+        NumericError naming the lowest such sample; an overflow that reaches
+        them is caught there, so numpy's overflow warnings are off."""
         if self.stats is None:
             raise ConfigurationError(
                 "model has no normalization statistics; attach stats or load "
                 "a checkpoint")
-        with no_grad():
+        with no_grad(), np.errstate(over="ignore", invalid="ignore"):
             pred = self.forward_batch(samples, "infer",
                                       horizon_steps=horizon_steps)
-        out = self.stats.denormalize(pred.data)
+            out = self.stats.denormalize(pred.data)
         finite = np.isfinite(out).reshape(out.shape[0], len(samples), -1)
         if (bad := ~finite.all(axis=(0, 2))).any():
             raise NumericError(

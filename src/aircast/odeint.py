@@ -185,7 +185,9 @@ def dopri5_integrate_stats(f: Callable[[np.ndarray, Tensor], Tensor],
     6 per attempt plus the initial one. Logs the statistics at INFO through
     the `aircast.odeint` logger. A NaN or inf in the state f is given at
     any stage, or in an error estimate, is a NumericError; an error names the
-    lowest offending sample, a spent step budget before an underflow.
+    lowest offending sample, a spent step budget before an underflow. An
+    overflow in a stage reaches one of those checks, so numpy's overflow
+    and invalid-value warnings are off here.
     """
     if z0.data.ndim != 3:
         raise DimensionError(
@@ -193,7 +195,7 @@ def dopri5_integrate_stats(f: Callable[[np.ndarray, Tensor], Tensor],
     stats = IntegrationStats()
     times = grid.times
     end = times[-1]
-    with no_grad():
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
         y = np.array(z0.data, dtype=np.float64, copy=True)
         batch = y.shape[0]
         out = np.empty((times.size - 1,) + y.shape)

@@ -444,7 +444,7 @@ def test_simulate_csv_is_byte_equal_to_csv_writer(tmp_path, capsys):
               "advection": simulate_advection_reference(weights, x0, 2.0)}
     for mode, final in finals.items():
         out, oracle = tmp_path / f"{mode}.csv", tmp_path / "oracle.csv"
-        assert cli_dispatch(["simulate", "--mode", mode, "--graph", str(stations),
+        assert cli_dispatch(["simulate", mode, "--graph", str(stations),
                              "--x0", str(x0_path), "--t", "2", "--out",
                              str(out)]) == 0
         with open(oracle, "w", newline="", encoding="utf-8") as fh:
@@ -478,7 +478,7 @@ def test_simulate_conserves_printed_mass(pipeline, tmp_path, capsys):
     x0.write_text("station_id,value\ns0,100\ns1,0\ns2,0\ns3,0\n",
                   encoding="utf-8")
     out = tmp_path / "final.csv"
-    assert cli_dispatch(["simulate", "--mode", "diffusion", "--graph",
+    assert cli_dispatch(["simulate", "diffusion", "--graph",
                          str(pipeline["stations"]), "--x0", str(x0),
                          "--t", "5.0", "--out", str(out)]) == 0
     text = capsys.readouterr().out
@@ -501,7 +501,7 @@ def test_simulate_advection_with_velocity_file(pipeline, tmp_path):
     v[2, 3] = 0.25
     np.savetxt(vel, v, delimiter=",")
     out = tmp_path / "adv.csv"
-    assert cli_dispatch(["simulate", "--mode", "advection", "--graph",
+    assert cli_dispatch(["simulate", "advection", "--graph",
                          str(pipeline["stations"]), "--x0", str(x0),
                          "--t", "2.0", "--velocities", str(vel),
                          "--out", str(out)]) == 0
@@ -512,7 +512,7 @@ def test_simulate_advection_with_velocity_file(pipeline, tmp_path):
 def test_simulate_incomplete_field_exits_2(pipeline, tmp_path, capsys):
     x0 = tmp_path / "x0.csv"
     x0.write_text("station_id,value\ns0,100\n", encoding="utf-8")
-    code = cli_dispatch(["simulate", "--mode", "diffusion", "--graph",
+    code = cli_dispatch(["simulate", "diffusion", "--graph",
                          str(pipeline["stations"]), "--x0", str(x0),
                          "--t", "1.0", "--out", str(tmp_path / "o.csv")])
     assert code == 2
@@ -527,66 +527,114 @@ def test_plot_commands(pipeline, tmp_path, capsys):
     wind.write_text("station_id,u,v\ns0,1,0\ns1,0,-2\ns2,1.5,1.5\ns3,0,0\n",
                     encoding="utf-8")
     heat = tmp_path / "heat.svg"
-    assert cli_dispatch(["plot", "--type", "wind-heatmap", "--stations",
+    assert cli_dispatch(["plot", "wind-heatmap", "--stations",
                          str(pipeline["stations"]), "--field", str(field),
                          "--wind", str(wind), "--out", str(heat)]) == 0
     ET.fromstring(heat.read_text(encoding="utf-8"))
     lines = tmp_path / "lines.svg"
-    assert cli_dispatch(["plot", "--type", "diffusion-lines", "--stations",
+    assert cli_dispatch(["plot", "diffusion-lines", "--stations",
                          str(pipeline["stations"]), "--field", str(field),
                          "--source", "s0", "--out", str(lines)]) == 0
     ET.fromstring(lines.read_text(encoding="utf-8"))
     capsys.readouterr()
 
 
-def test_plot_missing_mode_flags_exit_1(pipeline, tmp_path, capsys):
-    field = tmp_path / "field.csv"
-    field.write_text("station_id,value\ns0,80\ns1,45\ns2,60\ns3,110\n",
-                     encoding="utf-8")
-    assert cli_dispatch(["plot", "--type", "wind-heatmap", "--stations",
-                         str(pipeline["stations"]), "--field", str(field),
-                         "--out", str(tmp_path / "x.svg")]) == 1
-    assert ("aircast: error: --type wind-heatmap requires --wind\n"
-            in capsys.readouterr().err)
-    assert cli_dispatch(["plot", "--type", "diffusion-lines", "--stations",
-                         str(pipeline["stations"]), "--field", str(field),
-                         "--out", str(tmp_path / "x.svg")]) == 1
-    assert ("aircast: error: --type diffusion-lines requires --source\n"
-            in capsys.readouterr().err)
-    assert not (tmp_path / "x.svg").exists()
-
-
 def test_usage_errors_exit_1(capsys):
     assert cli_dispatch([]) == 1
     assert cli_dispatch(["transmogrify"]) == 1
     assert cli_dispatch(["predict"]) == 1  # missing required flags
+    assert cli_dispatch(["simulate"]) == 1  # no mode
     assert cli_dispatch(["evaluate", "--pred", "a", "--truth", "b",
-                         "--sudden-change"]) == 1  # no --city
+                         "--sudden-change"]) == 1  # no city
     err = capsys.readouterr().err
     assert "error" in err
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["evaluate", "--pred", "p.csv", "--truth", "t.csv", "--city", "beijing"],
-     "--city requires --sudden-change"),
-    (["simulate", "--mode", "diffusion", "--graph", "g.csv", "--x0", "x.csv",
-      "--t", "1", "--velocities", "missing.csv"],
-     "--velocities requires --mode advection"),
-    (["plot", "--type", "diffusion-lines", "--stations", "s.csv", "--field",
-      "f.csv", "--source", "s0", "--wind", "missing.csv"],
-     "--wind requires --type wind-heatmap"),
-    (["plot", "--type", "wind-heatmap", "--stations", "s.csv", "--field",
-      "f.csv", "--wind", "w.csv", "--source", "s0"],
-     "--source requires --type diffusion-lines"),
-], ids=["city", "velocities", "wind", "source"])
-def test_flag_its_mode_never_reads_is_usage_error(tmp_path, capsys, argv,
-                                                  message):
-    out = tmp_path / "out"
-    if argv[0] != "evaluate":  # evaluate writes to stdout
-        argv = argv + ["--out", str(out)]
+# each mode's command line, which runs as it is on _mode_inputs' files
+MODE_ARGV = {
+    "simulate diffusion": "simulate diffusion --graph {stations} --x0 {field} "
+                          "--t 1 --k 0.2 --out {out}",
+    "simulate advection": "simulate advection --graph {stations} --x0 {field} "
+                          "--t 1 --velocities {velocities} --out {out}",
+    "plot wind-heatmap": "plot wind-heatmap --stations {stations} --field "
+                         "{field} --wind {wind} --out {out}",
+    "plot diffusion-lines": "plot diffusion-lines --stations {stations} "
+                            "--field {field} --source s0 --k 0.2 --out {out}",
+    "evaluate": "evaluate --pred {pred} --truth {truth} --sudden-change beijing",
+}
+
+
+def _mode_inputs(tmp_path) -> dict:
+    """Paths of the files MODE_ARGV names, written for 4 stations."""
+    field = tmp_path / "field.csv"
+    field.write_text("station_id,value\ns0,80\ns1,45\ns2,60\ns3,110\n",
+                     encoding="utf-8")
+    wind = tmp_path / "wind.csv"
+    wind.write_text("station_id,u,v\ns0,1,0\ns1,0,-2\ns2,1.5,1.5\ns3,0,0\n",
+                    encoding="utf-8")
+    velocities = tmp_path / "velocities.csv"
+    velocities.write_text("0,1,0,0\n0,0,1,0\n0,0,0,1\n1,0,0,0\n",
+                          encoding="utf-8")
+    pred, truth = write_eval_pair(tmp_path)
+    return {"stations": write_stations(tmp_path / "stations.csv"),
+            "field": field, "wind": wind, "velocities": velocities,
+            "pred": pred, "truth": truth, "out": tmp_path / "out"}
+
+
+@pytest.mark.parametrize("mode, flag, value", [
+    ("simulate advection", "--k", "5"),
+    ("plot wind-heatmap", "--k", "7"),
+    ("simulate diffusion", "--velocities", "{velocities}"),
+    ("plot diffusion-lines", "--wind", "{wind}"),
+    ("plot wind-heatmap", "--source", "s0"),
+    ("evaluate", "--city", "beijing"),
+    # no value: a flag the mode needs, left out
+    ("plot wind-heatmap", "--wind", None),
+    ("plot diffusion-lines", "--source", None),
+    ("simulate advection", "--t", None),
+], ids=["advection-k", "wind-heatmap-k", "velocities", "wind", "source",
+        "city", "no-wind", "no-source", "no-t"])
+def test_flag_its_mode_never_reads_is_usage_error(tmp_path, capsys, mode, flag,
+                                                  value):
+    # the line runs as it is, so the flag alone makes the usage error
+    paths = _mode_inputs(tmp_path)
+    argv = [arg.format(**paths) for arg in MODE_ARGV[mode].split()]
+    assert cli_dispatch(argv) == 0
+    capsys.readouterr()
+    paths["out"].unlink(missing_ok=True)
+    if value is None:
+        at = argv.index(flag)
+        del argv[at:at + 2]
+    else:
+        argv += [flag, value.format(**paths)]
     assert cli_dispatch(argv) == 1
-    assert f"aircast: error: {message}\n" in capsys.readouterr().err
-    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("mode, files, extra, message", [
+    ("simulate diffusion", {}, ["--k", "1e308"],
+     "non-finite state in the step from t=0 in sample 0"),
+    ("plot diffusion-lines",
+     {"field": "station_id,value\ns0,1e308\ns1,-1e308\ns2,0\ns3,0\n"}, [],
+     "diffusive flux from 's0' to 's1' is not finite"),
+    ("plot wind-heatmap",
+     {"wind": "station_id,u,v\ns0,0,0\ns1,1e308,0\ns2,1,1\ns3,0,0\n"}, [],
+     "wind at station 's1' is too strong to draw: speed 1e+308"),
+], ids=["simulate", "diffusion-lines", "wind-heatmap"])
+def test_overflowing_inputs_exit_2_without_output(tmp_path, capsys, mode,
+                                                  files, extra, message):
+    # finite inputs whose results overflow: a typed error before any file is
+    # written, not a numpy warning, which pytest turns into an error
+    paths = _mode_inputs(tmp_path)
+    for name, text in files.items():
+        paths[name].write_text(text, encoding="utf-8")
+    argv = [arg.format(**paths) for arg in MODE_ARGV[mode].split()] + extra
+    assert cli_dispatch(argv) == 2
+    assert capsys.readouterr().err == f"aircast: error: {message}\n"
+    assert not paths["out"].exists()
 
 
 def test_data_errors_exit_2(tmp_path, capsys):
@@ -628,7 +676,7 @@ def test_simulate_rejects_non_finite_field(tmp_path, capsys):
     x0 = tmp_path / "x0.csv"
     x0.write_text("station_id,value\ns0,100\ns1,0\ns2,inf\ns3,0\n",
                   encoding="utf-8")
-    assert cli_dispatch(["simulate", "--mode", "diffusion", "--graph",
+    assert cli_dispatch(["simulate", "diffusion", "--graph",
                          str(stations), "--x0", str(x0), "--t", "1.0",
                          "--out", str(tmp_path / "o.csv")]) == 2
     assert f"{x0}:4: non-finite value" in capsys.readouterr().err
@@ -641,7 +689,7 @@ def test_simulate_rejects_non_finite_velocity(tmp_path, capsys, bad):
     x0.write_text("station_id,value\ns0,10\ns1,20\ns2,30\n", encoding="utf-8")
     vel = tmp_path / "vel.csv"
     vel.write_text(f"0,0.5,0\n0,0,{bad}\n0,0,0\n", encoding="utf-8")
-    assert cli_dispatch(["simulate", "--mode", "advection", "--graph",
+    assert cli_dispatch(["simulate", "advection", "--graph",
                          str(stations), "--x0", str(x0), "--t", "1.0",
                          "--velocities", str(vel),
                          "--out", str(tmp_path / "o.csv")]) == 2
@@ -660,7 +708,7 @@ def test_simulate_velocity_errors_name_line_and_column(tmp_path, capsys, text,
     x0.write_text("station_id,value\ns0,10\ns1,20\ns2,30\n", encoding="utf-8")
     vel = tmp_path / "vel.csv"
     vel.write_text(text, encoding="utf-8")  # line 2 is blank: row 2 is line 3
-    assert cli_dispatch(["simulate", "--mode", "advection", "--graph",
+    assert cli_dispatch(["simulate", "advection", "--graph",
                          str(stations), "--x0", str(x0), "--t", "1.0",
                          "--velocities", str(vel),
                          "--out", str(tmp_path / "o.csv")]) == 2
@@ -674,7 +722,7 @@ def test_simulate_rejects_ragged_velocity_rows(tmp_path, capsys):
     x0.write_text("station_id,value\ns0,10\ns1,20\ns2,30\n", encoding="utf-8")
     vel = tmp_path / "vel.csv"
     vel.write_text("0,0.5,0\n\n0,0\n0,0,0\n", encoding="utf-8")
-    assert cli_dispatch(["simulate", "--mode", "advection", "--graph",
+    assert cli_dispatch(["simulate", "advection", "--graph",
                          str(stations), "--x0", str(x0), "--t", "1.0",
                          "--velocities", str(vel),
                          "--out", str(tmp_path / "o.csv")]) == 2
@@ -689,7 +737,7 @@ def test_plot_rejects_non_finite_wind(tmp_path, capsys):
     wind = tmp_path / "wind.csv"
     wind.write_text("station_id,u,v\ns0,1,0\ns1,0,1e400\ns2,1,1\ns3,0,0\n",
                     encoding="utf-8")
-    assert cli_dispatch(["plot", "--type", "wind-heatmap", "--stations",
+    assert cli_dispatch(["plot", "wind-heatmap", "--stations",
                          str(stations), "--field", str(field), "--wind",
                          str(wind), "--out", str(tmp_path / "x.svg")]) == 2
     assert f"{wind}:3: non-finite v" in capsys.readouterr().err
@@ -704,9 +752,9 @@ def test_non_finite_float_flags_are_usage_errors(tmp_path, capsys, bad):
                      encoding="utf-8")
     readings = write_readings(tmp_path / "readings.csv", hours=6)
     out = tmp_path / "out"
-    plot = ["plot", "--type", "diffusion-lines", "--stations", str(stations),
+    plot = ["plot", "diffusion-lines", "--stations", str(stations),
             "--field", str(field), "--source", "s0", "--out", str(out)]
-    simulate = ["simulate", "--mode", "diffusion", "--graph", str(stations),
+    simulate = ["simulate", "diffusion", "--graph", str(stations),
                 "--x0", str(field), "--out", str(out)]
     ingest = ["ingest", "--stations", str(stations), "--readings",
               str(readings), "--out", str(out)]
@@ -788,7 +836,7 @@ def test_undecodable_or_overlong_csv_exits_2(tmp_path, capsys, command, fault):
     elif command == "simulate":
         lines = ["station_id,value"] + [f"s{i},{i}.5" for i in range(N_STATIONS)]
         bad.write_bytes(_corrupt_line_3(lines, 1, fault))
-        argv = ["simulate", "--mode", "diffusion", "--graph", str(stations),
+        argv = ["simulate", "diffusion", "--graph", str(stations),
                 "--x0", str(bad), "--t", "1"]
     else:
         lines = ["timestamp,station_id,pm25_pred"] + [
@@ -825,7 +873,7 @@ def write_eval_pair(tmp_path):
 def test_evaluate_sudden_change_hand_case(tmp_path, capsys):
     pred, truth = write_eval_pair(tmp_path)
     assert cli_dispatch(["evaluate", "--pred", str(pred), "--truth", str(truth),
-                         "--sudden-change", "--city", "beijing"]) == 0
+                         "--sudden-change", "beijing"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("mae=3.75 ")
     assert "points=4" in out[0]
@@ -842,13 +890,13 @@ def test_evaluate_sudden_change_shenzhen_threshold(tmp_path, capsys):
         encoding="utf-8")
     # 30 exceeds the shenzhen level (20) but not beijing's (50)
     assert cli_dispatch(["evaluate", "--pred", str(truth), "--truth",
-                         str(truth), "--sudden-change", "--city",
+                         str(truth), "--sudden-change",
                          "shenzhen"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].startswith("sudden_change mae=0.0 ")
     assert "points=1" in lines[1]
     assert cli_dispatch(["evaluate", "--pred", str(truth), "--truth",
-                         str(truth), "--sudden-change", "--city",
+                         str(truth), "--sudden-change",
                          "beijing"]) == 2
     assert "no sudden-change points" in capsys.readouterr().err
 
@@ -898,7 +946,7 @@ def test_evaluate_sudden_change_matches_per_station_oracle(tmp_path, capsys,
                         encoding="utf-8")
         paths.append(str(path))
     assert cli_dispatch(["evaluate", "--pred", paths[0], "--truth", paths[1],
-                         "--sudden-change", "--city", city]) == 0
+                         "--sudden-change", city]) == 0
     lines = capsys.readouterr().out.splitlines()
     expected = sudden_change_oracle(pred, truth, CITY_LEVELS[city])
     assert lines[1] == expected
@@ -1169,7 +1217,6 @@ def test_predict_rejects_non_float_checkpoint_arrays(pipeline, tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_predict_rejects_overflowing_forecast(pipeline, tmp_path, capsys):
     # finite decoder weights whose forecast overflows: it is checked before
     # either CSV is written

@@ -6,7 +6,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from aircast.errors import DimensionError, UnknownStationError
+from aircast.errors import (ContractError, DimensionError,
+                            UnknownStationError)
 from aircast.figures import (CANVAS_H, CANVAS_W, diffusion_flux,
                              diverging_color, heat_color,
                              render_diffusion_lines, render_wind_heatmap)
@@ -23,6 +24,7 @@ def test_heat_color_endpoints():
     assert heat_color(0.0, 100.0) == "rgb(247,251,255)"
     assert heat_color(100.0, 100.0) == "rgb(103,0,13)"
     assert heat_color(0.0, 0.0) == "rgb(247,251,255)"  # degenerate range maps low
+    assert heat_color(-1e308, 1e-300) == "rgb(247,251,255)"  # no overflow
 
 
 def test_diverging_color_endpoints():
@@ -108,6 +110,9 @@ def test_diffusion_flux_antisymmetric_pairs(rng):
 def test_diffusion_flux_validation():
     with pytest.raises(DimensionError):
         diffusion_flux(np.zeros((3, 3)), [1.0, 2.0], 0, 0.1)
+    with pytest.raises(ContractError,
+                       match="^diffusion coefficient must be non-negative$"):
+        diffusion_flux(np.zeros((2, 2)), [1.0, 2.0], 0, -3.0)
 
 
 def test_diffusion_lines_deterministic_and_valid(tmp_path, rng):

@@ -296,7 +296,6 @@ def test_dopri5_step_budget_is_per_sample(rng):
                                Tensor(np.ones((3, n, 1))), grid, cfg)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_dopri5_overflow_names_sample():
     # z' = 1e300 z^3 overflows inside a primitive for the samples away from 0
     def explode(t, z):
