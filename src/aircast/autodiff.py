@@ -8,10 +8,13 @@ their integer keys and holds no tensor other than a leaf, so an intermediate
 is freed as soon as the forward drops it. Its closure, which turns the output
 cotangent into input cotangents, keeps only the arrays that formula reads: a
 matmul by a constant Laplacian keeps the Laplacian, not the activation. What
-stays alive until backward() is therefore what the VJPs read, and it grows
-with batch x horizon. backward() replays the tape once in reverse and frees
-each entry as it is used; the tape is rebuilt on every forward pass and
-confined to one thread.
+stays alive until backward() is therefore what the VJPs read. A loop of
+steps (the training ODE solve) is recorded as one entry by checkpoint_steps,
+which keeps only each step's output state and recomputes a step's
+intermediates when backward() reaches it, so the solve holds steps x state
+rather than steps x intermediates. backward() replays the tape once in
+reverse and frees each entry as it is used; the tape is rebuilt on every
+forward pass and confined to one thread.
 """
 
 from __future__ import annotations
@@ -417,16 +420,105 @@ def safe_inv_sqrt(a) -> Tensor:
     return _result(y, (a,), vjp)
 
 
+def checkpoint_steps(step: Callable[[int, Tensor], Tensor], z0: Tensor,
+                     n: int) -> Tensor:
+    """The states z_1..z_n, stacked (n, *state), of z_{i+1} = step(i, z_i).
+
+    The steps run without recording and only their output states are kept.
+    When recording is on, one tape entry stands for all n steps, also when
+    z0 needs no gradient, since step may read parameters. When backward()
+    reaches it, it walks the steps from last to first: each step is run
+    again from its stored input on a tape of its own, which is replayed
+    into the same cotangent map before the step before it is run. A stored
+    state's share of the stack's cotangent is put in the map before the
+    step that reads it is replayed, so every cotangent is summed in the
+    order an unrolled tape of the n steps and a stack would sum it, and
+    the gradients are bitwise those of that tape. The price is a second
+    run of every step in backward(). step must compute the same values
+    then, so what it reads besides its input (parameters, a flow
+    Laplacian) must not change before backward() has run; a step whose
+    second run differs from its first is a ContractError.
+    """
+    if n < 1:
+        raise ContractError("checkpoint_steps needs at least one step")
+    states = []
+    with no_grad():
+        z = z0
+        for i in range(n):
+            z = step(i, z)
+            states.append(z.data)
+    out = _Unchecked(np.stack(states))
+    if not _grad_enabled():
+        return out
+
+    def replay(g, grads):
+        outer, enabled = _tape(), _grad_enabled()
+        key = None  # the input of step i + 1, which holds z_{i+1}'s cotangent
+        try:
+            for i in range(n - 1, -1, -1):
+                ct = np.take(g, i, axis=0) if key is None else grads.pop(key)
+                if i:
+                    z_in = _Unchecked(states[i - 1])
+                    z_in.requires_grad = True
+                    grads[z_in.key] = np.take(g, i - 1, axis=0)
+                else:
+                    z_in = z0
+                key = z_in.key
+                _state.tape, _state.grad_enabled = [], True
+                z = step(i, z_in)
+                local, _state.tape = _state.tape, outer
+                if not np.array_equal(z.data, states[i], equal_nan=True):
+                    raise ContractError(
+                        f"step {i} computed other values in backward() than "
+                        "in the forward; what it reads changed in between")
+                grads[z.key] = ct
+                _replay(local, grads)
+        finally:
+            _state.tape, _state.grad_enabled = outer, enabled
+
+    out.requires_grad = True
+    _tape().append((out.key, None, replay))
+    return out
+
+
+def _replay(tape: list, grads: dict) -> None:
+    """Pop tape's entries last to first, turning each output's cotangent in
+    grads into cotangents of its inputs.
+
+    Cotangents of intermediates are routed by tensor key into grads; those
+    of leaves go straight into their grad buffers. An entry without slots
+    is checkpoint_steps', which replays its steps into grads itself.
+    """
+    while tape:
+        out_key, slots, vjp = tape.pop()
+        g = grads.pop(out_key, None)
+        if g is None:
+            continue
+        if slots is None:
+            vjp(g, grads)
+            continue
+        for slot, ct in zip(slots, vjp(g)):
+            if slot is None or ct is None:
+                continue
+            key, leaf = slot
+            if leaf is not None:
+                leaf.grad += ct
+            else:
+                # no VJP writes into its g, so a cotangent may be kept
+                # as returned, even when it aliases another one
+                prev = grads.get(key)
+                grads[key] = ct if prev is None else prev + ct
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf's grad buffer.
 
     The loss must be scalar. Entries are popped in reverse recording order,
     which is a valid topological order for a define-by-run tape, so each
     closure and the arrays it keeps are freed once it has run; the tape is
-    empty on return, also when a VJP raises. Cotangents of intermediates are
-    routed by tensor key; those of leaves go straight into their grad
-    buffers. A constant loss (nothing recorded against it) is a no-op: all
-    gradients are trivially zero.
+    empty on return and recording is as it was, also when a VJP raises. A
+    constant loss (nothing recorded against it) is a no-op: all gradients
+    are trivially zero.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor loss")
@@ -437,22 +529,7 @@ def backward(loss: Tensor) -> None:
     if loss.grad is not None:
         loss.grad += 1.0
     try:
-        while tape:
-            out_key, slots, vjp = tape.pop()
-            g = grads.pop(out_key, None)
-            if g is None:
-                continue
-            for slot, ct in zip(slots, vjp(g)):
-                if slot is None or ct is None:
-                    continue
-                key, leaf = slot
-                if leaf is not None:
-                    leaf.grad += ct
-                else:
-                    # no VJP writes into its g, so a cotangent may be kept
-                    # as returned, even when it aliases another one
-                    prev = grads.get(key)
-                    grads[key] = ct if prev is None else prev + ct
+        _replay(tape, grads)
     finally:
         tape.clear()
 

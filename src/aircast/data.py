@@ -225,8 +225,21 @@ def _impute_grid(grid: np.ndarray, observed: np.ndarray,
     return out
 
 
+def _check_means(grid: np.ndarray, station_ids: list[str], what: str) -> None:
+    """A NaN or inf in a grid of means (readings too large for float64 to
+    sum) is a DataError naming the first such station and what was
+    averaged."""
+    finite = np.isfinite(grid)
+    if not finite.all():
+        bad = ~finite.all(axis=0)
+        raise DataError(
+            f"station {station_ids[int(np.argmax(bad))]!r}: {what} is not "
+            "finite; its readings are too large to average")
+
+
 def impute_missing(series: HourlySeries) -> HourlySeries:
-    """Fill every gap; observed values are never modified."""
+    """Fill every gap; observed values are never modified. A mean that
+    overflows is a DataError naming its station and channel."""
     filled = {}
     for ch in CHANNELS:
         grid = getattr(series, ch)
@@ -238,7 +251,10 @@ def impute_missing(series: HourlySeries) -> HourlySeries:
             raise DataError(
                 f"station {series.station_ids[int(np.argmax(empty))]!r} has "
                 f"no observed {ch} values")
-        filled[ch] = _impute_grid(grid, observed, float(np.nanmean(grid)))
+        # an overflow is caught below, on the filled grid
+        with np.errstate(over="ignore", invalid="ignore"):
+            filled[ch] = _impute_grid(grid, observed, float(np.nanmean(grid)))
+        _check_means(filled[ch], series.station_ids, f"an imputed {ch} value")
         log.info("imputed %d of %d hourly %s cells",
                  grid.size - np.count_nonzero(observed), grid.size, ch)
     return HourlySeries(start=series.start, station_ids=list(series.station_ids),
@@ -257,7 +273,9 @@ def wind_components(speed: np.ndarray, direction_deg: np.ndarray
 
 
 def resample_3h(series: HourlySeries) -> Series3h:
-    """Mean-pool complete STEP_HOURS-hour blocks; drop a trailing partial one."""
+    """Mean-pool complete STEP_HOURS-hour blocks; drop a trailing partial one.
+
+    A mean that overflows is a DataError naming its station and channel."""
     if np.isnan(series.pm25).any() or np.isnan(series.wind_speed).any() \
             or np.isnan(series.wind_direction).any():
         raise DataError("resample_3h requires an imputed series")
@@ -271,10 +289,14 @@ def resample_3h(series: HourlySeries) -> Series3h:
         log.warning("dropping %d trailing hour(s) short of a %d-hour block",
                     dropped, STEP_HOURS)
     n = len(series.station_ids)
-    pm = series.pm25[:STEP_HOURS * steps].reshape(steps, STEP_HOURS, n).mean(axis=1)
-    u, v = wind_components(series.wind_speed, series.wind_direction)
-    u3 = u[:STEP_HOURS * steps].reshape(steps, STEP_HOURS, n).mean(axis=1)
-    v3 = v[:STEP_HOURS * steps].reshape(steps, STEP_HOURS, n).mean(axis=1)
+    # an overflow is caught below, on the means
+    with np.errstate(over="ignore", invalid="ignore"):
+        pm = series.pm25[:STEP_HOURS * steps].reshape(steps, STEP_HOURS, n).mean(axis=1)
+        u, v = wind_components(series.wind_speed, series.wind_direction)
+        u3 = u[:STEP_HOURS * steps].reshape(steps, STEP_HOURS, n).mean(axis=1)
+        v3 = v[:STEP_HOURS * steps].reshape(steps, STEP_HOURS, n).mean(axis=1)
+    for name, grid in (("pm25", pm), ("wind_u", u3), ("wind_v", v3)):
+        _check_means(grid, series.station_ids, f"a {STEP_HOURS}-hour mean of {name}")
     return Series3h(start=series.start, station_ids=list(series.station_ids),
                     pm25=pm, wind_u=u3, wind_v=v3)
 

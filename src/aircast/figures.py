@@ -15,7 +15,7 @@ from html import escape
 
 import numpy as np
 
-from .errors import (ContractError, DimensionError, NumericError,
+from .errors import (ContractError, DataError, DimensionError, NumericError,
                      UnknownStationError)
 from .graph import SensorGraph, Station
 
@@ -36,7 +36,20 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+# Web Mercator's latitude limit, atan(sinh(pi)) in degrees, where its map
+# of the whole globe is square
+MERCATOR_MAX_LAT = math.degrees(math.atan(math.sinh(math.pi)))
+
+
 def _mercator_xy(stations: list[Station]) -> np.ndarray:
+    """Canvas (x, y) of each station. A station beyond Web Mercator's
+    +-85.0511 degrees, where the projection runs off to infinity at the
+    poles, is a DataError naming it."""
+    for s in stations:
+        if abs(s.latitude) > MERCATOR_MAX_LAT:
+            raise DataError(
+                f"station {s.station_id!r} at latitude {s.latitude:g} is "
+                f"beyond the map's +-{MERCATOR_MAX_LAT:.4f} degrees")
     lon = np.array([s.longitude for s in stations])
     lat = np.array([s.latitude for s in stations])
     mx = np.radians(lon)

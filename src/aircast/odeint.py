@@ -1,12 +1,13 @@
 """Fixed-step and adaptive explicit Runge-Kutta integration over time grids.
 
 Fixed-step RK4 takes one step per grid interval on tensors and stays
-differentiable (training path). The adaptive Dormand-Prince 5(4) integrator
-drives its step-size controller on raw float64 arrays with recording disabled;
-it is the inference path and is not differentiable. It integrates a
-(batch, n, latent) state as independent systems, each under its own step-size
-control, so a sample's forecast does not depend on the other samples of its
-batch. It steps at the pace its error control sets: only the last grid time
+differentiable (training path): it keeps one state per interval for
+backward(), which recomputes each interval's stages. The adaptive
+Dormand-Prince 5(4) integrator drives its step-size controller on raw
+float64 arrays with recording disabled; it is the inference path and is not
+differentiable. It integrates a (batch, n, latent) state as independent
+systems, each under its own step-size control, so a sample's forecast does
+not depend on the other samples of its batch. It steps at the pace its error control sets: only the last grid time
 clips a step, and the grid times a step passes get the method's 4th-order
 dense output. The last stage of an accepted step is reused as the first of the
 next (FSAL), so an attempt costs 6 evaluations of the right-hand side, plus 1
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad, stack
+from .autodiff import Tensor, checkpoint_steps, no_grad
 from .errors import (ConfigurationError, ContractError, DimensionError,
                      NumericError)
 
@@ -92,19 +93,21 @@ def fixed_step_integrate(f: Callable[[float, Tensor], Tensor], z0: Tensor,
     """Integrate dz/dt = f(t, z): the (steps, *state) states at t_1..t_end.
 
     Each grid interval is one classical RK4 step, so a finer grid gives
-    smaller steps. Gradients flow through the unrolled update, so z0 and any
-    parameter used by f receive cotangents from backward(). A state with a
-    NaN or inf is a NumericError naming its interval.
+    smaller steps. z0 and any parameter used by f receive cotangents from
+    backward(), bitwise those of the unrolled steps; the steps are
+    checkpointed (autodiff.checkpoint_steps), so until then the solve holds
+    one state per interval, and backward() runs each step again to replay
+    it. A state with a NaN or inf is a NumericError naming its interval.
     """
-    z = z0
-    states = []
     times = grid.times
-    for i in range(times.size - 1):
+
+    def step(i, z):
         z = _rk4_step(f, times[i], z, times[i + 1] - times[i])
         if not np.isfinite(z.data).all():
             raise NumericError(f"non-finite state in interval {i + 1}")
-        states.append(z)
-    return stack(states)
+        return z
+
+    return checkpoint_steps(step, z0, times.size - 1)
 
 
 # Dormand-Prince 5(4) tableau. Stage 7 is evaluated at t + h on the 5th-order

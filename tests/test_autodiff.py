@@ -397,6 +397,108 @@ def test_tape_retains_only_what_vjps_read(rng):
     assert np.isfinite(x.grad).all() and np.abs(x.grad).sum() > 0
 
 
+def test_checkpointed_steps_hold_states_not_intermediates(rng):
+    # each step makes 8 state-sized tanh outputs, which the tanh VJPs and
+    # the next matmul's VJP read. Recorded step by step, 20 steps keep 160
+    # of them until backward(); checkpoint_steps keeps the 20 states, and
+    # one step's tape at a time while backward() runs.
+    steps, depth = 20, 8
+    w = Parameter(rng.standard_normal((64, 64)) / 8.0, "w")
+    z0 = Tensor(rng.standard_normal((256, 64)))  # 128 KB
+    state = z0.data.nbytes
+
+    def step(i, z):
+        for _ in range(depth):
+            z = ad.tanh(ad.matmul(z, w))
+        return z
+
+    def unrolled(step, z, n):
+        states = []
+        for i in range(n):
+            z = step(i, z)
+            states.append(z)
+        return ad.stack(states)
+
+    held = {}
+    tracemalloc.start()
+    try:
+        for solve in (unrolled, ad.checkpoint_steps):
+            before = tracemalloc.get_traced_memory()[0]
+            loss = ad.reduce_sum(solve(step, z0, steps))
+            held[solve] = tracemalloc.get_traced_memory()[0] - before
+            entries = tape_size()
+            w.zero_grad()
+            backward(loss)
+            del loss
+    finally:
+        tracemalloc.stop()
+    assert entries == 2  # the steps' one entry and the sum
+    assert held[unrolled] > (depth - 1) * steps * state
+    assert held[ad.checkpoint_steps] < 2 * steps * state
+    assert np.abs(w.grad).sum() > 0
+
+
+def test_checkpoint_steps_without_recording_is_the_stacked_states(rng):
+    w = Parameter(rng.standard_normal((3, 3)), "w")
+    z0 = Tensor(rng.standard_normal((2, 3)))
+
+    def step(i, z):
+        return ad.tanh(ad.matmul(z, w))
+
+    with no_grad():
+        traj = ad.checkpoint_steps(step, z0, 4)
+        z, expected = z0, []
+        for i in range(4):
+            z = step(i, z)
+            expected.append(z.data)
+    assert tape_size() == 0 and not traj.requires_grad
+    np.testing.assert_array_equal(traj.data, np.stack(expected))
+    with pytest.raises(ContractError):
+        ad.checkpoint_steps(step, z0, 0)
+
+
+@pytest.mark.parametrize("where", ["vjp", "step"])
+def test_failure_in_a_recompute_leaves_tape_empty_and_recording_on(rng, where):
+    w = Parameter(rng.standard_normal((3, 3)) * 0.5, "w")
+    z0 = Tensor(rng.standard_normal((2, 3)))
+
+    def fail(g):
+        raise RuntimeError("vjp failed")
+
+    def step(i, z):
+        z = ad.tanh(ad.matmul(z, w))
+        if ad._grad_enabled():  # only when backward() runs the step again
+            if where == "step":
+                raise RuntimeError("step failed")
+            z = ad._result(z.data, (z,), fail)
+        return z
+
+    loss = ad.reduce_sum(ad.checkpoint_steps(step, z0, 3))
+    with pytest.raises(RuntimeError, match=f"{where} failed"):
+        backward(loss)
+    assert tape_size() == 0 and ad._grad_enabled()
+    # the next forward records on the thread's tape as usual
+    w.zero_grad()
+    y = ad.tanh(ad.matmul(z0, w))
+    assert y.requires_grad and tape_size() == 2
+    backward(ad.reduce_sum(y))
+    expected = z0.data.T @ (1.0 - y.data * y.data)
+    np.testing.assert_array_equal(w.grad, expected)
+
+
+def test_checkpoint_steps_refuses_a_step_that_changed_before_backward(rng):
+    # the steps are run again in backward(); had w changed in between, the
+    # replayed tape would differentiate other values than the forward's
+    w = Parameter(rng.standard_normal((3, 3)), "w")
+    z0 = Tensor(rng.standard_normal((2, 3)))
+    loss = ad.reduce_sum(ad.checkpoint_steps(
+        lambda i, z: ad.tanh(ad.matmul(z, w)), z0, 3))
+    w.data[0, 0] += 1.0
+    with pytest.raises(ContractError, match="^step 2 computed other values"):
+        backward(loss)
+    assert tape_size() == 0 and ad._grad_enabled()
+
+
 def test_gradients_exact_when_intermediate_ids_are_reused(rng):
     # every intermediate is dropped as soon as the next op has read it, so
     # CPython hands its id() to a later tensor; gradients must still reach

@@ -539,6 +539,42 @@ def test_plot_commands(pipeline, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ingest_overflowing_mean_exits_2_without_output(tmp_path, capsys):
+    stations = write_stations(tmp_path / "stations.csv")
+    readings = tmp_path / "readings.csv"
+    text = write_readings(readings, hours=6).read_text(encoding="utf-8")
+    readings.write_text(re.sub(r"(,s1,)[^,]*", r"\g<1>1e308", text),
+                        encoding="utf-8")
+    out = tmp_path / "d.npz"
+    assert cli_dispatch(["ingest", "--stations", str(stations),
+                         "--readings", str(readings), "--out", str(out)]) == 2
+    assert "station 's1': a 3-hour mean of pm25 is not finite" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, flags", [
+    ("wind-heatmap", ["--wind", "{wind}"]),
+    ("diffusion-lines", ["--source", "s0"]),
+])
+def test_plot_station_at_a_pole_exits_2_without_output(tmp_path, capsys,
+                                                       mode, flags):
+    stations = tmp_path / "stations.csv"
+    stations.write_text("station_id,latitude,longitude\ns0,-90,116.4\n"
+                        "s1,40.0,116.5\n", encoding="utf-8")
+    field = tmp_path / "field.csv"
+    field.write_text("station_id,value\ns0,10\ns1,20\n", encoding="utf-8")
+    wind = tmp_path / "wind.csv"
+    wind.write_text("station_id,u,v\ns0,1.5,-0.5\ns1,0.5,2\n",
+                    encoding="utf-8")
+    out = tmp_path / "map.svg"
+    argv = ["plot", mode, "--stations", str(stations), "--field", str(field),
+            *(f.format(wind=wind) for f in flags), "--out", str(out)]
+    assert cli_dispatch(argv) == 2
+    assert "station 's0' at latitude -90 is beyond" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_errors_exit_1(capsys):
     assert cli_dispatch([]) == 1
     assert cli_dispatch(["transmogrify"]) == 1

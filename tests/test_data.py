@@ -310,6 +310,27 @@ def test_resample_requires_imputed_input():
         resample_3h(hourly(np.array([1.0, 2.0])))
 
 
+@pytest.mark.parametrize("case, message", [
+    ("pm25", "a 3-hour mean of pm25"),
+    ("wind_speed", "a 3-hour mean of wind_v"),
+    ("gap", "an imputed pm25 value"),
+])
+def test_means_that_overflow_are_data_errors(case, message):
+    # 1e308 is a finite reading, but a few of them sum past float64's
+    # range; no numpy warning escapes (pytest turns one into an error)
+    pm = np.column_stack([np.full(6, 50.0), np.full(6, 1e308)])
+    speed = np.full((6, 2), 2.0)
+    if case == "wind_speed":  # blowing from the north: v = -speed
+        pm[:, 1] = 50.0
+        speed[:, 1] = 1e308
+    if case == "gap":  # the 24-hour window of hour 4 sums 4 x 1e308
+        pm[4, 1] = np.nan
+    series = hourly(pm, speed=speed, ids=["a", "b"])
+    with pytest.raises(DataError, match=f"^station 'b': {message} is not "
+                                        "finite"):
+        resample_3h(impute_missing(series))
+
+
 def test_make_windows_alignment():
     series = synthetic_series(12, 2, seed=1)
     windows = make_windows(series, history_steps=4, horizon_steps=3)

@@ -6,9 +6,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from aircast.errors import (ContractError, DimensionError,
+from aircast.errors import (ContractError, DataError, DimensionError,
                             UnknownStationError)
-from aircast.figures import (CANVAS_H, CANVAS_W, diffusion_flux,
+from aircast.figures import (CANVAS_H, CANVAS_W, MERCATOR_MAX_LAT,
+                             diffusion_flux,
                              diverging_color, heat_color,
                              render_diffusion_lines, render_wind_heatmap)
 from aircast.graph import SensorGraph, Station
@@ -171,3 +172,26 @@ def test_renderers_escape_station_ids(tmp_path):
     parse_svg(svg)  # would fail on unescaped markup
     assert "a&lt;b" in svg
     assert "c&amp;d" in svg
+
+
+@pytest.mark.parametrize("lat", [-90.0, 90.0, 85.06, -85.06])
+def test_renderers_reject_stations_beyond_mercator(tmp_path, lat):
+    # the projection is -inf at -90 and off the square map past 85.0511
+    stations = [Station("polar", lat, 116.4), Station("b", 40.0, 116.5)]
+    out = tmp_path / "map.svg"
+    message = f"^station 'polar' at latitude {lat:g} is beyond"
+    with pytest.raises(DataError, match=message):
+        render_wind_heatmap(stations, [10.0, 20.0], np.ones((2, 2)), out)
+    with pytest.raises(DataError, match=message):
+        render_diffusion_lines(SensorGraph.from_stations(stations),
+                               [10.0, 20.0], "polar", 1.0, out)
+    assert not out.exists()
+
+
+def test_renderers_draw_stations_at_the_mercator_limit(tmp_path):
+    stations = [Station("n", MERCATOR_MAX_LAT, 0.0),
+                Station("s", -MERCATOR_MAX_LAT, 10.0)]
+    svg = render_wind_heatmap(stations, [1.0, 2.0], np.ones((2, 2)),
+                              tmp_path / "map.svg")
+    assert "nan" not in svg and "inf" not in svg
+    parse_svg(svg)

@@ -13,7 +13,8 @@ from aircast.data import NormStats, WindowSample
 from aircast.graph import SensorGraph, Station
 from aircast.errors import (ConfigurationError, ContractError, DataError,
                             DimensionError, FormatError)
-from aircast.odeint import SolverConfig
+from aircast.odeint import (SolverConfig, TimeGrid, _rk4_step,
+                            fixed_step_integrate)
 from aircast.physics import MLPParams
 from aircast.model import (DecoderParams, GRUParams, Model,
                            ModelCheckpoint, ModelConfig, config_from_dict,
@@ -333,6 +334,86 @@ def test_finite_difference_every_parameter_group(rng):
     for group, params in model.parameter_groups().items():
         rel = ad.finite_diff_check(loss, params)
         assert rel < 1e-4, f"group {group} rel error {rel}"
+
+
+def unrolled_rk4(f, z0, grid):
+    """The training solve as a plain tape: every RK4 stage recorded, the
+    states stacked."""
+    z, states = z0, []
+    times = grid.times
+    for t0, t1 in zip(times[:-1], times[1:]):
+        z = _rk4_step(f, t0, z, t1 - t0)
+        states.append(z)
+    return ad.stack(states)
+
+
+def solve_gradients(solve, f, make_z0, params, grid, weights):
+    """Every parameter's gradient of a weighted sum of tanh(states)."""
+    clear_tape()
+    for p in params:
+        p.zero_grad()
+    traj = solve(f, make_z0(), grid)
+    ad.backward(ad.reduce_sum(ad.mul(ad.tanh(traj), Tensor(weights))))
+    return [p.grad.copy() for p in params]
+
+
+GRID = TimeGrid([0.0, 0.5, 1.25, 2.0, 3.5])
+
+
+def test_checkpointed_solve_gradients_bitwise_equal_unrolled_tape(rng):
+    # a learned gate reads the flow Laplacian, an intermediate built before
+    # the solve, in every stage; z0 is an intermediate too
+    n, batch, latent = 4, 3, 2
+    model = Model(toy_graph(n), tiny_config(latent_dim=latent))
+    lift = Parameter(rng.standard_normal((3, latent)), "lift")
+    x = rng.standard_normal((batch * n, 3))
+    wind = rng.uniform(-3.0, 3.0, size=(batch, n, 2))
+    weights = rng.standard_normal((GRID.times.size - 1, batch, n, latent))
+    params = model.de.parameters() + [lift]
+
+    def make_z0():
+        model.de.set_flow_from_wind(Tensor(wind))
+        return ad.reshape(ad.tanh(ad.matmul(Tensor(x), lift)),
+                          (batch, n, latent))
+
+    got, want = (solve_gradients(solve, model.de, make_z0, params, GRID,
+                                 weights)
+                 for solve in (fixed_step_integrate, unrolled_rk4))
+    for p, g, w in zip(params, got, want):
+        np.testing.assert_array_equal(g, w, err_msg=p.name)
+    assert all(np.abs(g).sum() > 0 for g in got)
+
+
+@pytest.mark.parametrize("z0_kind", ["constant", "leaf"])
+def test_checkpointed_solve_gradients_when_only_f_reads_parameters(
+        rng, z0_kind):
+    w = Parameter(rng.standard_normal((3, 3)) * 0.5, "w")
+    values = rng.standard_normal((2, 4, 3))
+    z0 = Tensor(values) if z0_kind == "constant" else Parameter(values, "z0")
+    params = [w] if z0_kind == "constant" else [w, z0]
+    weights = rng.standard_normal((GRID.times.size - 1, 2, 4, 3))
+
+    def f(t, z):
+        return ad.tanh(ad.matmul(z, w))
+
+    got, want = (solve_gradients(solve, f, lambda: z0, params, GRID, weights)
+                 for solve in (fixed_step_integrate, unrolled_rk4))
+    for g, u in zip(got, want):
+        np.testing.assert_array_equal(g, u)
+    assert all(np.abs(g).sum() > 0 for g in got)
+
+
+def test_two_train_forwards_before_one_backward_are_refused(rng):
+    # the second forward replaces the flow Laplacian that the first solve
+    # reads again when backward() replays it
+    model = Model(toy_graph(3), tiny_config())
+    losses = []
+    for k in range(2):
+        sample = make_sample(rng, 3, 2, 2, start_index=k)
+        pred = model.forward_batch([sample], "train", np.random.default_rng(k))
+        losses.append(mae_loss(pred, sample.x_future))
+    with pytest.raises(ContractError, match="computed other values"):
+        ad.backward(ad.add(losses[0], losses[1]))
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path, rng):
