@@ -10,9 +10,9 @@ cotangent into input cotangents, keeps only the arrays that formula reads: a
 matmul by a constant Laplacian keeps the Laplacian, not the activation. What
 stays alive until backward() is therefore what the VJPs read. A loop of
 steps (the training ODE solve) is recorded as one entry by checkpoint_steps,
-which keeps only each step's output state and recomputes a step's
-intermediates when backward() reaches it, so the solve holds steps x state
-rather than steps x intermediates. backward() replays the tape once in
+which keeps only the loop's input tensor and each step's output state and
+recomputes a step's intermediates when backward() reaches it, so the solve
+holds steps x state rather than steps x intermediates. backward() replays the tape once in
 reverse and frees each entry as it is used; the tape is rebuilt on every
 forward pass and confined to one thread.
 """
