@@ -370,23 +370,6 @@ def reshape(a, shape: tuple) -> Tensor:
     return _result(values, (a,), vjp)
 
 
-def stack(tensors: Sequence[Tensor]) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ContractError("stack of zero tensors")
-    sh = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != sh:
-            raise DimensionError(f"stack: mixed shapes {sh} and {t.shape}")
-    count = len(tensors)
-
-    def vjp(g):
-        return tuple(np.take(g, i, axis=0) for i in range(count))
-
-    return _result(np.stack([t.data for t in tensors]),
-                   tuple(tensors), vjp)
-
-
 def slice_cols(a, start: int, stop: int) -> Tensor:
     """Contiguous column slice of a 2-D tensor."""
     a = as_tensor(a)
@@ -435,9 +418,9 @@ def checkpoint_steps(step: Callable[[int, Tensor], Tensor], z0: Tensor,
     order an unrolled tape of the n steps and a stack would sum it, and
     the gradients are bitwise those of that tape. The price is a second
     run of every step in backward(). step must compute the same values
-    then, so what it reads besides its input (parameters, a flow
-    Laplacian) must not change before backward() has run; a step whose
-    second run differs from its first is a ContractError.
+    then, so what it reads besides its input must not change before
+    backward() has run; a step whose second run differs from its first is
+    a ContractError.
     """
     if n < 1:
         raise ContractError("checkpoint_steps needs at least one step")

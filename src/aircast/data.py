@@ -28,6 +28,9 @@ log = logging.getLogger(__name__)
 EPOCH = datetime(1970, 1, 1)
 READINGS_HEADER = ["timestamp", "station_id", "pm25", "wind_speed", "wind_direction"]
 CHANNELS = ("pm25", "wind_speed", "wind_direction")
+# the values an instrument can give; a reading outside them is a ParseError
+READING_RANGES = {"pm25": (0.0, math.inf), "wind_speed": (0.0, math.inf),
+                  "wind_direction": (0.0, 360.0)}
 HOUR = timedelta(hours=1)
 STEP_HOURS = 3       # hours in one model step; every step count derives from it
 STEP = timedelta(hours=STEP_HOURS)
@@ -144,8 +147,9 @@ def parse_readings(path, station_ids) -> HourlySeries:
     """Read the readings CSV onto a dense hourly grid.
 
     Rows may arrive in any order; the grid spans min..max timestamp. A
-    duplicate (timestamp, station) pair or a malformed row is an error naming
-    the line; a station id outside the supplied registry is an error.
+    duplicate (timestamp, station) pair, a malformed row or a reading
+    outside its READING_RANGES entry is an error naming the line; a station
+    id outside the supplied registry is an error.
     """
     station_ids = list(station_ids)
     index = {sid: i for i, sid in enumerate(station_ids)}
@@ -183,6 +187,14 @@ def parse_readings(path, station_ids) -> HourlySeries:
     flat = keys - first_hour * n    # row-major index into the (hours, n) grid
     grids = {}
     for ch, values in zip(CHANNELS, (pm25, wind_speed, wind_direction)):
+        values = np.array(values)
+        lo, hi = READING_RANGES[ch]
+        bad = (values < lo) | (values > hi)  # a blank, NaN, is neither
+        if bad.any():
+            i = int(np.argmax(bad))
+            lineno = list(seen.values())[i]  # seen is in file order
+            raise ParseError(f"{path}:{lineno}: {ch} {float(values[i])!r} "
+                             f"outside [{lo:g}, {hi:g}]")
         grid = np.full((hours, n), np.nan)
         grid.flat[flat] = values
         grids[ch] = grid

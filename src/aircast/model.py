@@ -13,6 +13,7 @@ act on each sample's own n-station graph.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
@@ -284,11 +285,14 @@ class Model:
             eps = None
         z0 = ad.reshape(reparameterize(mu, sigma, eps),
                         (len(samples), self.n_stations, self.config.latent_dim))
-        self.de.set_flow_from_wind(Tensor(wind_last))
+        # a copy shares every parameter but binds this batch's wind, so a
+        # later forward cannot change what backward() recomputes for this one
+        de = copy.copy(self.de)
+        de.set_flow_from_wind(Tensor(wind_last))
         if horizon_steps is None:
             horizon_steps = self.config.horizon_steps
         grid = TimeGrid.unit(horizon_steps)
-        traj = ode_solve(self.de, z0, grid, self.solver, mode)
+        traj = ode_solve(de, z0, grid, self.solver, mode)
         return decode_trajectory(traj, self.decoder)
 
     def forecast(self, samples: Sequence[WindowSample],
@@ -310,11 +314,6 @@ class Model:
             raise NumericError(
                 f"non-finite forecast for sample {int(np.argmax(bad))}")
         return out
-
-    def forward_sample(self, sample: WindowSample) -> np.ndarray:
-        """De-normalized inference forecast (horizon, n, 1) in ug/m3 for one
-        sample."""
-        return self.forecast([sample])
 
 
 CHECKPOINT_FORMAT = "aircast-checkpoint-v1"

@@ -196,7 +196,9 @@ class DEFunction:
     positive).
     The flow-field Laplacian is sample state and must be set before a call:
     one (n, n) Laplacian for a state (n, latent), or one per sample,
-    (batch, n, n), for a state (batch, n, latent). gate_mode can pin alpha to
+    (batch, n, n), for a state (batch, n, latent). Model binds it to a
+    shallow copy per forward, which shares every parameter, so its own
+    DEFunction holds no sample's wind. gate_mode can pin alpha to
     1 (diffusion only) or 0 (advection only). The system is autonomous: the
     time argument (a float, or per-sample times from a batched solve) is
     ignored.

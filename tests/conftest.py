@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from aircast import autodiff as ad
 from aircast.autodiff import clear_tape
 from aircast.data import Series3h
 from aircast.graph import SensorGraph, Station
@@ -36,6 +37,17 @@ def synthetic_series(steps: int, n: int, seed: int = 0) -> Series3h:
                     pm25=pm,
                     wind_u=rng.standard_normal((steps, n)),
                     wind_v=rng.standard_normal((steps, n)))
+
+
+def stack(tensors):
+    """The tensors stacked on a new leading axis; its VJP hands each input
+    its slice of the cotangent. The unrolled-tape oracles stack their states
+    with it, as the training solve did before it was checkpointed."""
+    def vjp(g):
+        return tuple(np.take(g, i, axis=0) for i in range(len(tensors)))
+
+    return ad._result(np.stack([t.data for t in tensors]), tuple(tensors),
+                      vjp)
 
 
 def rewrite_metadata(src, dst, edit) -> None:

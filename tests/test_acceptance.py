@@ -241,7 +241,7 @@ def test_c6_synthetic_diffusion_recovery():
                    os.devnull)
         errs = []
         for raw, norm in zip(windows[-n_test:], split.test):
-            errs.append(np.abs(model.forward_sample(norm) - raw.x_future))
+            errs.append(np.abs(model.forecast([norm]) - raw.x_future))
         return float(np.mean(np.stack(errs)))
 
     learned = train_and_score("learned")
@@ -391,8 +391,8 @@ def test_c8_reproducible_training_and_checkpoints(tmp_path):
     restored = model_from_checkpoint(load_checkpoint(tmp_path / "model.npz"),
                                      model_a.graph)
     sample = split.test[0]
-    np.testing.assert_array_equal(model_a.forward_sample(sample),
-                                  restored.forward_sample(sample))
+    np.testing.assert_array_equal(model_a.forecast([sample]),
+                                  restored.forecast([sample]))
 
     _done("c8", t0, 120.0,
           "twin runs bitwise equal; round-tripped checkpoint forecasts bitwise")

@@ -186,7 +186,7 @@ def test_predict_output_alignment(pipeline):
         assert np.isfinite(float(value))
 
 
-def test_predict_matches_per_origin_forward_sample(pipeline):
+def test_predict_matches_per_origin_forecast(pipeline):
     # the one batched solve over all origins gives each origin's own forecast
     ckpt = load_checkpoint(pipeline["ckpt"])
     ds = load_dataset(pipeline["data"])
@@ -197,8 +197,8 @@ def test_predict_matches_per_origin_forward_sample(pipeline):
     n_train, n_val, _ = split_counts(len(windows), ckpt.split_ratio)
     origins = windows[n_train + n_val::cfg.horizon_steps]
     assert len(origins) >= 2
-    expected = [model.forward_sample(
-        replace(w, x_hist=model.stats.normalize(w.x_hist)))[:, :, 0].ravel()
+    expected = [model.forecast(
+        [replace(w, x_hist=model.stats.normalize(w.x_hist))])[:, :, 0].ravel()
         for w in origins]
     _, rows = read_csv_rows(pipeline["pred"])
     np.testing.assert_allclose([float(r[2]) for r in rows],
@@ -549,6 +549,27 @@ def test_ingest_overflowing_mean_exits_2_without_output(tmp_path, capsys):
     assert cli_dispatch(["ingest", "--stations", str(stations),
                          "--readings", str(readings), "--out", str(out)]) == 2
     assert "station 's1': a 3-hour mean of pm25 is not finite" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("column, value", [
+    ("pm25", "-40"), ("wind_speed", "-5"), ("wind_direction", "-720"),
+    ("wind_direction", "1e308"),
+])
+def test_ingest_reading_no_instrument_gives_exits_2_without_output(
+        tmp_path, capsys, column, value):
+    stations = write_stations(tmp_path / "stations.csv")
+    readings = write_readings(tmp_path / "readings.csv", hours=6)
+    lines = readings.read_text(encoding="utf-8").splitlines()
+    fields = lines[4].split(",")
+    fields[lines[0].split(",").index(column)] = value
+    lines[4] = ",".join(fields)
+    readings.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "d.npz"
+    assert cli_dispatch(["ingest", "--stations", str(stations),
+                         "--readings", str(readings), "--out", str(out)]) == 2
+    assert f"readings.csv:5: {column} {float(value)!r} outside" \
         in capsys.readouterr().err
     assert not out.exists()
 

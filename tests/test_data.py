@@ -2,6 +2,7 @@
 resampling, windowing, chronological splits, and dataset persistence."""
 
 import json
+import re
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -119,6 +120,35 @@ def test_parse_readings_rejects_non_finite_values(tmp_path, field, text):
         parse_readings(path, ["a"])
 
 
+@pytest.mark.parametrize("field, text, bounds", [
+    (2, "-40", "[0, inf]"),
+    (3, "-5", "[0, inf]"),
+    (4, "-720", "[0, 360]"),
+    (4, "1e308", "[0, 360]"),
+    (4, "360.0000001", "[0, 360]"),
+])
+def test_parse_readings_rejects_readings_no_instrument_gives(tmp_path, field,
+                                                             text, bounds):
+    bad = ["2017-01-01T01:00:00", "a", "1", "2", "3"]
+    bad[field] = text
+    path = write_readings(tmp_path, ["2017-01-01T00:00:00,a,1,2,3",
+                                     ",".join(bad),
+                                     "2017-01-01T02:00:00,a,1,2,3"])
+    column = HEADER.split(",")[field]
+    message = f"{column} {float(text)!r} outside {bounds}"
+    with pytest.raises(ParseError,
+                       match=rf"readings.csv:3: {re.escape(message)}$"):
+        parse_readings(path, ["a"])
+
+
+def test_parse_readings_accepts_range_ends(tmp_path):
+    path = write_readings(tmp_path, ["2017-01-01T00:00:00,a,0,0,0",
+                                     "2017-01-01T01:00:00,a,-0,-0,360"])
+    series = parse_readings(path, ["a"])
+    assert (series.pm25 == 0).all() and (series.wind_speed == 0).all()
+    np.testing.assert_array_equal(series.wind_direction[:, 0], [0.0, 360.0])
+
+
 def test_parse_readings_whitespace_value_is_gap(tmp_path):
     path = write_readings(tmp_path, ["2017-01-01T00:00:00,a,  ,2,\t"])
     series = parse_readings(path, ["a"])
@@ -146,7 +176,8 @@ def test_parse_readings_shuffled_gappy_csv_matches_direct_grid(tmp_path):
                 if rng.uniform() < 0.04:
                     fields.append(str(rng.choice(["", " ", "  "])))
                 else:
-                    value = float(rng.uniform(-50, 500))
+                    # inside every channel's range
+                    value = float(rng.uniform(0.0, 360.0))
                     grids[ch][h, col] = value
                     fields.append(repr(value))
             rows.append(",".join([spellings[rng.integers(3)], sid] + fields))

@@ -24,7 +24,7 @@ from aircast.model import (DecoderParams, GRUParams, Model,
                            save_checkpoint)
 from aircast.training import mae_loss
 
-from conftest import grid_stations, rewrite_metadata, toy_graph
+from conftest import grid_stations, rewrite_metadata, stack, toy_graph
 
 T0 = datetime(2017, 3, 1, tzinfo=timezone.utc)
 
@@ -293,21 +293,21 @@ def test_forward_batch_train_draw_reproducible(rng):
     assert not np.array_equal(a, c)
 
 
-def test_forward_sample_denormalizes(rng):
+def test_forecast_denormalizes(rng):
     stats = NormStats(mean=60.0, std=25.0)
     model = Model(toy_graph(3), tiny_config(), stats=stats)
     sample = make_sample(rng, 3, 2, 2)
-    out = model.forward_sample(sample)
+    out = model.forecast([sample])
     with no_grad():
         normalized = model.forward_batch([sample], "infer").data
     np.testing.assert_array_equal(out, normalized * 25.0 + 60.0)
-    np.testing.assert_array_equal(model.forward_sample(sample), out)
+    np.testing.assert_array_equal(model.forecast([sample]), out)
 
 
-def test_forward_sample_requires_stats(rng):
+def test_forecast_requires_stats(rng):
     model = Model(toy_graph(3), tiny_config())
     with pytest.raises(ConfigurationError):
-        model.forward_sample(make_sample(rng, 3, 2, 2))
+        model.forecast([make_sample(rng, 3, 2, 2)])
 
 
 def test_gate_mode_changes_dynamics(rng):
@@ -344,7 +344,7 @@ def unrolled_rk4(f, z0, grid):
     for t0, t1 in zip(times[:-1], times[1:]):
         z = _rk4_step(f, t0, z, t1 - t0)
         states.append(z)
-    return ad.stack(states)
+    return stack(states)
 
 
 def solve_gradients(solve, f, make_z0, params, grid, weights):
@@ -403,17 +403,35 @@ def test_checkpointed_solve_gradients_when_only_f_reads_parameters(
     assert all(np.abs(g).sum() > 0 for g in got)
 
 
-def test_two_train_forwards_before_one_backward_are_refused(rng):
-    # the second forward replaces the flow Laplacian that the first solve
-    # reads again when backward() replays it
+def test_two_train_forwards_before_one_backward_sum_their_gradients(rng):
+    # each forward solves with its own copy of the right-hand side, bound to
+    # its batch's wind, so the second cannot change what backward() runs
+    # again for the first. One backward() replays the second forward first,
+    # so two separate passes must take the second sample first to sum each
+    # leaf's gradient in the same order.
     model = Model(toy_graph(3), tiny_config())
-    losses = []
-    for k in range(2):
-        sample = make_sample(rng, 3, 2, 2, start_index=k)
-        pred = model.forward_batch([sample], "train", np.random.default_rng(k))
-        losses.append(mae_loss(pred, sample.x_future))
-    with pytest.raises(ContractError, match="computed other values"):
-        ad.backward(ad.add(losses[0], losses[1]))
+    samples = [make_sample(rng, 3, 2, 2, start_index=k) for k in range(2)]
+
+    def loss(k):
+        pred = model.forward_batch([samples[k]], "train",
+                                   np.random.default_rng(k))
+        assert model.de.flow_lap is None
+        return mae_loss(pred, samples[k].x_future)
+
+    def take_gradients():
+        out = [p.grad.copy() for p in model.parameters()]
+        for p in model.parameters():
+            p.zero_grad()
+        return out
+
+    ad.backward(ad.add(loss(0), loss(1)))
+    together = take_gradients()
+    for k in (1, 0):
+        ad.backward(loss(k))
+    apart = take_gradients()
+    for p, a, b in zip(model.parameters(), together, apart):
+        np.testing.assert_array_equal(a, b, err_msg=p.name)
+    assert all(np.abs(g).sum() > 0 for g in together)
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path, rng):
@@ -428,8 +446,8 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, rng):
     assert restored.stats.mean == 55.0
     assert restored.stats.std == 30.0
     sample = make_sample(rng, 3, 2, 2)
-    np.testing.assert_array_equal(model.forward_sample(sample),
-                                  restored.forward_sample(sample))
+    np.testing.assert_array_equal(model.forecast([sample]),
+                                  restored.forecast([sample]))
 
 
 def test_checkpoint_preserves_split_ratio(tmp_path):
