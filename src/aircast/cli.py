@@ -34,8 +34,7 @@ from .errors import (AircastError, ConfigurationError, DataError, ParseError,
                      UnknownStationError)
 from .figures import render_diffusion_lines, render_wind_heatmap
 from .graph import SensorGraph, load_stations, table_rows
-from .metrics import (CITY_LEVELS, HORIZON_STEPS, mae, masked_metrics, rmse,
-                      sudden_change_mask)
+from .metrics import CITY_LEVELS, HORIZON_STEPS, mae, rmse, sudden_change_mask
 from .model import (Model, ModelConfig, load_checkpoint, model_from_checkpoint,
                     save_checkpoint)
 from .odeint import SolverConfig
@@ -326,9 +325,11 @@ def cmd_evaluate(args) -> int:
                           for ts, sid in keys])
         mask = sudden_change_mask(np.stack([t, later]),
                                   CITY_LEVELS[args.sudden_change])[0]
-        report = masked_metrics(p, t, mask)
-        print(f"sudden_change mae={report.mae!r} rmse={report.rmse!r} "
-              f"points={report.n_points}")
+        if not mask.any():
+            raise DataError("no sudden-change points in the evaluated set")
+        p, t = p[mask], t[mask]
+        print(f"sudden_change mae={mae(p, t)!r} rmse={rmse(p, t)!r} "
+              f"points={p.size}")
     return 0
 
 

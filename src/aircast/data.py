@@ -73,12 +73,17 @@ class Series3h:
 
 @dataclass(frozen=True)
 class NormStats:
+    """Train-partition PM2.5 mean (finite) and std (positive and finite)."""
+
     mean: float
     std: float
 
     def __post_init__(self):
-        if not (self.std > 0):
-            raise DataError(f"normalization std must be positive, got {self.std}")
+        if not -math.inf < self.mean < math.inf:
+            raise DataError(f"normalization mean must be finite, got {self.mean}")
+        if not 0 < self.std < math.inf:
+            raise DataError(
+                f"normalization std must be positive and finite, got {self.std}")
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.std
@@ -406,7 +411,9 @@ def chronological_split(windows: list[WindowSample],
     test = ordered[n_train + n_val:]
     values = np.concatenate([np.concatenate([w.x_hist.ravel(), w.x_future.ravel()])
                              for w in train])
-    stats = NormStats(mean=float(values.mean()), std=float(values.std()))
+    # readings too large to square overflow to inf, which NormStats rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = NormStats(mean=float(values.mean()), std=float(values.std()))
 
     def norm(part):
         return [replace(w, x_hist=stats.normalize(w.x_hist),
@@ -459,9 +466,9 @@ def has_type(value, kind) -> bool:
 
 
 def load_container(path, fmt: str, schema: dict) -> tuple[dict, dict]:
-    """(metadata, arrays) of a .npz file in format ``fmt``; every metadata
-    field in ``schema`` must have its kind (see ``has_type``), and a missing
-    field reads as None. Anything else is a FormatError naming the file."""
+    """(metadata, arrays) of a .npz file in format ``fmt``: each field in
+    ``schema`` has its kind (see ``has_type``; a missing one reads as None)
+    and each array is a finite float array, or a FormatError names the file."""
     try:
         archive = np.load(path, allow_pickle=False)
     except ValueError:  # neither zip nor .npy; numpy would advise unpickling
@@ -491,6 +498,11 @@ def load_container(path, fmt: str, schema: dict) -> tuple[dict, dict]:
         if not has_type(meta.get(key), kind):
             found = f"{meta[key]!r}" if key in meta else "missing"
             raise FormatError(f"{path}: bad metadata field {key!r}: {found}")
+    for name, a in arrays.items():
+        if not np.issubdtype(a.dtype, np.floating):
+            raise FormatError(f"{path}: array {name!r} is {a.dtype}, not a float array")
+        if not np.isfinite(a).all():
+            raise FormatError(f"{path}: array {name!r} holds a non-finite value")
     return meta, arrays
 
 
@@ -522,12 +534,10 @@ def load_dataset(path) -> Dataset:
     # (steps, stations), with the steps of pm25, which is checked first
     expected = arrays["pm25"].shape[:1] + (len(meta["station_ids"]),)
     for name, a in arrays.items():
-        if a.ndim != 2 or not np.issubdtype(a.dtype, np.floating):
+        if a.ndim != 2:
             problem = f"is {a.ndim}-D {a.dtype}, not a 2-D float array"
         elif a.shape != expected:
             problem = f"has shape {a.shape}, expected {expected}"
-        elif not np.isfinite(a).all():
-            problem = "holds a non-finite value"
         else:
             continue
         raise FormatError(f"{path}: array {name!r} {problem}")

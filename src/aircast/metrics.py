@@ -5,12 +5,10 @@ Predictions and ground truth are aligned arrays in measurement units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import STEP_HOURS
-from .errors import ContractError, DataError, DimensionError
+from .errors import DataError, DimensionError
 
 HORIZON_STEPS = {f"{h}h": h // STEP_HOURS for h in (24, 48, 72)}
 
@@ -34,27 +32,6 @@ def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.sqrt(np.mean(_error(pred, truth) ** 2)))
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    """MAE and RMSE over one evaluation slice.
-
-    By the power-mean inequality RMSE can never fall below MAE, so a
-    report violating that ordering indicates a computation bug and is
-    rejected at construction.
-    """
-
-    mae: float
-    rmse: float
-    n_points: int
-
-    def __post_init__(self):
-        if self.n_points <= 0:
-            raise ContractError("a metrics report needs at least one point")
-        if not (0.0 <= self.mae <= self.rmse * (1 + 1e-12) + 1e-15):
-            raise ContractError(
-                f"metric ordering violated: mae={self.mae} rmse={self.rmse}")
-
-
 CITY_LEVELS = {"beijing": 50.0, "shenzhen": 20.0}  # sudden-change level per city
 SUDDEN_CHANGE_DELTA = 20.0
 
@@ -74,17 +51,3 @@ def sudden_change_mask(truth: np.ndarray, level: float) -> np.ndarray:
     jump = np.abs(truth[1:] - truth[:-1]) > SUDDEN_CHANGE_DELTA
     mask[:-1] = (truth[:-1] > level) & jump
     return mask
-
-
-def masked_metrics(pred: np.ndarray, truth: np.ndarray,
-                   mask: np.ndarray) -> MetricsReport:
-    """Metrics restricted to flagged points."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if not (pred.shape == truth.shape == mask.shape):
-        raise DimensionError("prediction, truth, and mask shapes must match")
-    if not mask.any():
-        raise DataError("no sudden-change points in the evaluated set")
-    p, t = pred[mask], truth[mask]
-    return MetricsReport(mae=mae(p, t), rmse=rmse(p, t), n_points=int(p.size))

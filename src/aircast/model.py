@@ -327,20 +327,13 @@ class ModelCheckpoint:
 
     config: ModelConfig
     arrays: dict
-    norm_mean: float
-    norm_std: float
+    stats: NormStats
     n_stations: int
     split_ratio: tuple = DEFAULT_SPLIT
     solver: SolverConfig = SolverConfig()
 
     def __post_init__(self):
         check_ratio(self.split_ratio)
-        if not -math.inf < self.norm_mean < math.inf:
-            raise ConfigurationError(
-                f"checkpoint mean must be finite, got {self.norm_mean}")
-        if not 0 < self.norm_std < math.inf:
-            raise ConfigurationError(
-                f"checkpoint std must be positive and finite, got {self.norm_std}")
 
 
 def make_checkpoint(model: Model, split_ratio: tuple = DEFAULT_SPLIT
@@ -350,16 +343,15 @@ def make_checkpoint(model: Model, split_ratio: tuple = DEFAULT_SPLIT
     arrays = {p.name: p.data.copy() for p in model.parameters()}
     arrays[_LAPLACIAN_KEY] = model.dist_lap.matrix.copy()
     return ModelCheckpoint(config=model.config, arrays=arrays,
-                           norm_mean=model.stats.mean, norm_std=model.stats.std,
-                           n_stations=model.n_stations,
+                           stats=model.stats, n_stations=model.n_stations,
                            split_ratio=split_ratio, solver=model.solver)
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
     meta = {
         "config": asdict(ckpt.config),
-        "norm_mean": ckpt.norm_mean,
-        "norm_std": ckpt.norm_std,
+        "norm_mean": ckpt.stats.mean,
+        "norm_std": ckpt.stats.std,
         "n_stations": ckpt.n_stations,
         "split_ratio": list(ckpt.split_ratio),
         "solver": asdict(ckpt.solver),
@@ -373,30 +365,20 @@ _CHECKPOINT_SCHEMA = {"config": dict, "norm_mean": NUMBER, "norm_std": NUMBER,
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
-    """A saved checkpoint; a null or absent split_ratio or solver is its
-    default, and every array must be a finite float array."""
+    """A saved checkpoint; a null or absent split_ratio or solver is its default."""
     meta, arrays = load_container(path, CHECKPOINT_FORMAT, _CHECKPOINT_SCHEMA)
-    for name, a in arrays.items():
-        if not np.issubdtype(a.dtype, np.floating):
-            problem = f"is {a.dtype}, not a float array"
-        elif not np.isfinite(a).all():
-            problem = "holds a non-finite value"
-        else:
-            continue
-        raise FormatError(f"{path}: array {name!r} {problem}")
     try:
         return ModelCheckpoint(
             config=config_from_dict(ModelConfig, meta["config"]),
             arrays=arrays,
-            norm_mean=meta["norm_mean"],
-            norm_std=meta["norm_std"],
+            stats=NormStats(meta["norm_mean"], meta["norm_std"]),
             n_stations=meta["n_stations"],
             split_ratio=DEFAULT_SPLIT if meta.get("split_ratio") is None
             else tuple(meta["split_ratio"]),
             solver=SolverConfig() if meta.get("solver") is None
             else config_from_dict(SolverConfig, meta["solver"]),
         )
-    except ConfigurationError as e:
+    except (ConfigurationError, DataError) as e:
         raise FormatError(f"{path}: {e}") from None
 
 
@@ -411,9 +393,7 @@ def model_from_checkpoint(ckpt: ModelCheckpoint, graph: SensorGraph) -> Model:
             f"checkpoint was trained on {ckpt.n_stations} stations but the "
             f"graph has {graph.n_stations} (array {_LAPLACIAN_KEY!r} is "
             f"{saved_lap.shape})")
-    model = Model(graph, ckpt.config,
-                  stats=NormStats(ckpt.norm_mean, ckpt.norm_std),
-                  solver=ckpt.solver)
+    model = Model(graph, ckpt.config, stats=ckpt.stats, solver=ckpt.solver)
     rebuilt = model.dist_lap.matrix
     if saved_lap.shape != rebuilt.shape:
         raise DimensionError(

@@ -97,12 +97,14 @@ def fixed_step_integrate(f: Callable[[float, Tensor], Tensor], z0: Tensor,
     backward(), bitwise those of the unrolled steps; the steps are
     checkpointed (autodiff.checkpoint_steps), so until then the solve holds
     one state per interval, and backward() runs each step again to replay
-    it. A state with a NaN or inf is a NumericError naming its interval.
+    it. A state with a NaN or inf is a NumericError naming its interval, so
+    numpy's overflow warnings are off in the step.
     """
     times = grid.times
 
     def step(i, z):
-        z = _rk4_step(f, times[i], z, times[i + 1] - times[i])
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = _rk4_step(f, times[i], z, times[i + 1] - times[i])
         if not np.isfinite(z.data).all():
             raise NumericError(f"non-finite state in interval {i + 1}")
         return z

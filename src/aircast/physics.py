@@ -59,22 +59,16 @@ def mlp(x: Tensor, params: MLPParams) -> Tensor:
                      params.w2) + params.b2
 
 
-def flow_potentials(wind: Tensor, params: MLPParams) -> Tensor:
-    """Scalar potential per node, (..., n, 1), from its (u, v) wind components
-    through the flow net, an MLP 2 -> hidden -> 1."""
-    if wind.data.ndim not in (2, 3) or wind.shape[-1] != 2:
-        raise DimensionError(
-            f"wind must be (n, 2) or (batch, n, 2), got {wind.shape}")
-    return mlp(wind, params)
-
-
 def flow_field_adjacency(wind: Tensor, params: MLPParams) -> Tensor:
-    """Antisymmetric adjacency w_ij = p_i - p_j of per-node flow potentials.
+    """Antisymmetric adjacency w_ij = p_i - p_j of the potentials (..., n, 1)
+    that the flow net, an MLP 2 -> hidden -> 1, gives each node's (u, v) wind.
 
     Antisymmetry is exact at the bit level: entry (j, i) is the IEEE negation
     of entry (i, j) because both come from the same subtraction operands.
     """
-    p = flow_potentials(wind, params)
+    if wind.data.ndim not in (2, 3):  # the net checks the last axis
+        raise DimensionError(f"wind must be (n, 2) or (batch, n, 2), got {wind.shape}")
+    p = mlp(wind, params)
     n = p.shape[-2]
     return ad.sub(p, ad.reshape(p, p.shape[:-2] + (1, n)))
 
@@ -221,18 +215,14 @@ class DEFunction:
 
     @staticmethod
     def raw_coefficient(value: float) -> float:
-        """Inverse softplus, so softplus(raw) equals the requested start value."""
+        """Inverse softplus, log(e^v - 1), written as v + log(1 - e^-v) so
+        that it cannot overflow; softplus(raw) is the requested start value."""
         if value <= 0:
             raise ContractError("diffusion coefficient must start positive")
-        return float(np.log(np.expm1(value)))
+        return float(value + np.log(-np.expm1(-value)))
 
     def diffusion_coefficient(self) -> Tensor:
         return ad.softplus(self.diffusion_coeff_raw)
-
-    def parameters(self) -> list[Parameter]:
-        return (self.flow.parameters() + self.diff_branch.parameters()
-                + self.adv_branch.parameters() + self.fusion.parameters()
-                + [self.diffusion_coeff_raw])
 
     def set_flow_from_wind(self, wind: Tensor) -> None:
         self.flow_lap = flow_scaled_laplacian(wind, self.flow)

@@ -553,6 +553,49 @@ def test_ingest_overflowing_mean_exits_2_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_on_readings_whose_std_overflows_exits_2_without_output(
+        tmp_path, capsys):
+    # readings near 1e200 average to finite 3-hour means, but their squares
+    # overflow, so the train windows have no finite std; pyproject turns a
+    # RuntimeWarning into an error, so none is raised on the way
+    stations = write_stations(tmp_path / "stations.csv")
+    readings = tmp_path / "readings.csv"
+    text = write_readings(readings).read_text(encoding="utf-8")
+    readings.write_text(re.sub(r"(,s\d+,[^,]*)", r"\g<1>e198", text),
+                        encoding="utf-8")
+    data = tmp_path / "data.npz"
+    assert cli_dispatch(["ingest", "--stations", str(stations),
+                         "--readings", str(readings), "--out", str(data)]) == 0
+    assert load_dataset(data).series.pm25.min() > 1e199
+    config = tmp_path / "config.ini"
+    config.write_text(CONFIG_INI, encoding="utf-8")
+    out_dir = tmp_path / "run"
+    assert cli_dispatch(["train", "--config", str(config), "--data", str(data),
+                         "--out-dir", str(out_dir)]) == 2
+    assert "aircast: error: normalization std must be positive and finite, " \
+        "got inf" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("value, code, message", [
+    ("1000", 0, "trained 2 epoch(s)"),
+    ("1e300", 2, "aircast: error: non-finite state in interval 1"),
+])
+def test_train_with_huge_diffusion_coeff_init_runs_or_fails_typed(
+        pipeline, tmp_path, capsys, value, code, message):
+    # its inverse softplus no longer overflows; a coefficient that blows up
+    # the state is the solver's NumericError, not a numpy warning
+    config = tmp_path / "config.ini"
+    config.write_text(CONFIG_INI.replace(
+        "[model]\n", f"[model]\ndiffusion_coeff_init = {value}\n"),
+        encoding="utf-8")
+    assert cli_dispatch(["train", "--config", str(config), "--data",
+                         str(pipeline["data"]), "--out-dir",
+                         str(tmp_path / "run")]) == code
+    captured = capsys.readouterr()
+    assert message in (captured.out if code == 0 else captured.err)
+
+
 @pytest.mark.parametrize("column, value", [
     ("pm25", "-40"), ("wind_speed", "-5"), ("wind_direction", "-720"),
     ("wind_direction", "1e308"),
@@ -1024,9 +1067,9 @@ def test_predict_on_incomplete_checkpoint_exits_2(pipeline, tmp_path, capsys):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda meta: {**meta, "norm_std": float("inf")},
-     "checkpoint std must be positive and finite, got inf"),
+     "normalization std must be positive and finite, got inf"),
     (lambda meta: {**meta, "norm_mean": float("nan")},
-     "checkpoint mean must be finite, got nan"),
+     "normalization mean must be finite, got nan"),
     (lambda meta: {**meta, "config": {**meta["config"],
                                       "diffusion_coeff_init": float("inf")}},
      "diffusion_coeff_init must be positive and finite, got inf"),
@@ -1231,7 +1274,8 @@ def _with_nan(a):
     ("wind_v", np.ravel, "is 1-D float64, not a 2-D float array"),
     ("pm25", lambda a: np.array(1.0), "is 0-D float64, not a 2-D float array"),
     ("wind_u", _with_nan, "holds a non-finite value"),
-], ids=["extra-column", "short-wind", "1-d", "0-d", "nan"])
+    ("wind_v", lambda a: a.astype(np.int64), "is int64, not a float array"),
+], ids=["extra-column", "short-wind", "1-d", "0-d", "nan", "int"])
 def test_malformed_dataset_arrays_exit_2(pipeline, tmp_path, capsys, name,
                                          change, problem):
     with np.load(pipeline["data"]) as archive:

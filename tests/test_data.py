@@ -492,6 +492,19 @@ def test_norm_stats_roundtrip():
         NormStats(mean=0.0, std=0.0)
 
 
+@pytest.mark.parametrize("mean, std, message", [
+    (np.nan, 1.0, "normalization mean must be finite, got nan"),
+    (np.inf, 1.0, "normalization mean must be finite, got inf"),
+    (0.0, -1.0, "normalization std must be positive and finite, got -1.0"),
+    (0.0, np.inf, "normalization std must be positive and finite, got inf"),
+    (0.0, np.nan, "normalization std must be positive and finite, got nan"),
+])
+def test_norm_stats_rejects_what_cannot_normalize(mean, std, message):
+    with pytest.raises(DataError) as info:
+        NormStats(mean=mean, std=std)
+    assert str(info.value) == message
+
+
 def test_dataset_roundtrip(tmp_path):
     series = synthetic_series(20, 4, seed=6)
     ds = Dataset(series, grid_stations(4), max_distance_km=250.0)

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from aircast.errors import ContractError, DataError, DimensionError
+from aircast.errors import DataError, DimensionError
 from aircast.metrics import (CITY_LEVELS, HORIZON_STEPS, SUDDEN_CHANGE_DELTA,
-                             MetricsReport, mae, masked_metrics, rmse,
-                             sudden_change_mask)
+                             mae, rmse, sudden_change_mask)
 
 
 def test_mae_rmse_hand_values():
@@ -51,15 +50,6 @@ def test_metric_input_validation():
 def test_rmse_never_below_mae(truth, seed):
     pred = truth + np.random.default_rng(seed).uniform(-50, 50, size=truth.shape)
     assert rmse(pred, truth) >= mae(pred, truth) - 1e-12
-
-
-def test_metrics_report_rejects_impossible_ordering():
-    with pytest.raises(ContractError):
-        MetricsReport(mae=5.0, rmse=4.0, n_points=10)
-    with pytest.raises(ContractError):
-        MetricsReport(mae=1.0, rmse=2.0, n_points=0)
-    report = MetricsReport(mae=1.0, rmse=1.0, n_points=1)
-    assert report.mae == 1.0
 
 
 def test_horizon_step_table():
@@ -111,28 +101,3 @@ def test_sudden_change_shape_rules():
     single = sudden_change_mask(np.full((1, 3), 99.0), 50.0)
     assert not single.any()
 
-
-def test_masked_metrics_all_true_equals_unrestricted(rng):
-    pred = rng.uniform(0, 100, size=(6, 3))
-    truth = rng.uniform(0, 100, size=(6, 3))
-    report = masked_metrics(pred, truth, np.ones((6, 3), dtype=bool))
-    assert report.mae == pytest.approx(mae(pred, truth), abs=1e-15)
-    assert report.rmse == pytest.approx(rmse(pred, truth), abs=1e-15)
-    assert report.n_points == 18
-
-
-def test_masked_metrics_selects_points():
-    pred = np.array([[1.0, 5.0], [2.0, 9.0]])
-    truth = np.array([[2.0, 5.0], [2.0, 5.0]])
-    mask = np.array([[True, False], [False, True]])
-    report = masked_metrics(pred, truth, mask)
-    assert report.mae == pytest.approx(2.5)  # |1-2| and |9-5|
-    assert report.n_points == 2
-
-
-def test_masked_metrics_empty_mask_is_error(rng):
-    pred = rng.uniform(size=(3, 3))
-    with pytest.raises(DataError):
-        masked_metrics(pred, pred, np.zeros((3, 3), dtype=bool))
-    with pytest.raises(DimensionError):
-        masked_metrics(pred, pred, np.zeros((2, 3), dtype=bool))

@@ -16,12 +16,11 @@ from aircast.errors import (ConfigurationError, ContractError, DataError,
 from aircast.odeint import (SolverConfig, TimeGrid, _rk4_step,
                             fixed_step_integrate)
 from aircast.physics import MLPParams
-from aircast.model import (DecoderParams, GRUParams, Model,
-                           ModelCheckpoint, ModelConfig, config_from_dict,
-                           decode_trajectory, encode_history, gru_step,
-                           latent_head, load_checkpoint, make_checkpoint,
-                           model_from_checkpoint, reparameterize,
-                           save_checkpoint)
+from aircast.model import (DecoderParams, GRUParams, Model, ModelConfig,
+                           config_from_dict, decode_trajectory, encode_history,
+                           gru_step, latent_head, load_checkpoint,
+                           make_checkpoint, model_from_checkpoint,
+                           reparameterize, save_checkpoint)
 from aircast.training import mae_loss
 
 from conftest import grid_stations, rewrite_metadata, stack, toy_graph
@@ -369,7 +368,9 @@ def test_checkpointed_solve_gradients_bitwise_equal_unrolled_tape(rng):
     x = rng.standard_normal((batch * n, 3))
     wind = rng.uniform(-3.0, 3.0, size=(batch, n, 2))
     weights = rng.standard_normal((GRID.times.size - 1, batch, n, latent))
-    params = model.de.parameters() + [lift]
+    groups = model.parameter_groups()
+    params = [p for name in ("flownet", "cheb_diff", "cheb_adv", "fusion",
+                             "diffusion_coeff") for p in groups[name]] + [lift]
 
     def make_z0():
         model.de.set_flow_from_wind(Tensor(wind))
@@ -498,10 +499,16 @@ def test_checkpoint_requires_stats():
         make_checkpoint(model)
 
 
-def test_checkpoint_rejects_bad_std():
-    with pytest.raises(ConfigurationError):
-        ModelCheckpoint(config=tiny_config(), arrays={}, norm_mean=0.0,
-                        norm_std=0.0, n_stations=3)
+def test_checkpoint_rejects_bad_std(tmp_path):
+    model = Model(toy_graph(3), tiny_config(), stats=NormStats(50.0, 10.0))
+    good = tmp_path / "c.npz"
+    save_checkpoint(make_checkpoint(model), good)
+    bad = tmp_path / "bad.npz"
+    rewrite_metadata(good, bad, lambda meta: {**meta, "norm_std": 0.0})
+    with pytest.raises(FormatError) as info:
+        load_checkpoint(bad)
+    assert str(info.value) == (
+        f"{bad}: normalization std must be positive and finite, got 0.0")
 
 
 def test_load_checkpoint_error_taxonomy(tmp_path):

@@ -12,7 +12,7 @@ from aircast.errors import (ConfigurationError, ContractError, DimensionError,
                             NumericError)
 from aircast.physics import (GATE_MODES, DEFunction, FusionParams,
                              MLPParams, PowerBranchParams, cheb_branch,
-                             flow_field_adjacency, flow_potentials,
+                             flow_field_adjacency,
                              flow_scaled_laplacian, gate_alpha, mlp,
                              simulate_advection_reference,
                              simulate_diffusion_reference, uniform_param)
@@ -58,12 +58,13 @@ def test_mlp_matches_numpy_oracle_bitwise(rng):
     np.testing.assert_array_equal(got, np.tanh(x @ w1 + b1) @ w2 + b2)
 
 
-def test_flow_potentials_shape_and_validation(rng):
+def test_flow_adjacency_shape_and_validation(rng):
     params = make_flow(rng)
-    p = flow_potentials(random_wind(rng, 5), params)
-    assert p.shape == (5, 1)
+    assert flow_field_adjacency(random_wind(rng, 5), params).shape == (5, 5)
+    assert flow_field_adjacency(Tensor(rng.standard_normal((3, 5, 2))),
+                                params).shape == (3, 5, 5)
     with pytest.raises(DimensionError):
-        flow_potentials(Tensor(rng.standard_normal((5, 3))), params)
+        flow_field_adjacency(Tensor(rng.standard_normal((5, 3))), params)
 
 
 def test_flow_adjacency_bitwise_antisymmetric(rng):
@@ -78,7 +79,7 @@ def test_flow_adjacency_matches_potential_differences(rng):
     params = make_flow(rng)
     wind = random_wind(rng, 4)
     with no_grad():
-        p = flow_potentials(wind, params).data[:, 0]
+        p = mlp(wind, params).data[:, 0]
         w = flow_field_adjacency(wind, params).data
     np.testing.assert_array_equal(w, p[:, None] - p[None, :])
 
@@ -87,7 +88,7 @@ def test_flow_scaled_laplacian_matches_numpy_path(rng):
     params = make_flow(rng)
     wind = random_wind(rng, 5)
     with no_grad():
-        p = flow_potentials(wind, params).data[:, 0]
+        p = mlp(wind, params).data[:, 0]
         got = flow_scaled_laplacian(wind, params).data
     # the lambda_max = 2 rescaling 2 * Lbar / 2 - I is exactly Lbar - I
     expected = graph.normalized_laplacian(p[:, None] - p[None, :]) - np.eye(5)
@@ -232,11 +233,12 @@ def make_de_function(rng, n=4, latent=3, gate_mode="learned", order=2, layers=1)
 
 
 def test_raw_coefficient_roundtrip():
-    for v in (0.01, 0.1, 1.0, 5.0):
+    # log(expm1(v)) would overflow above v ~ 709
+    for v in (0.01, 0.1, 1.0, 5.0, 709.0, 710.0, 1000.0, 1e300):
         raw = DEFunction.raw_coefficient(v)
-        assert np.log1p(np.exp(raw)) == pytest.approx(v, rel=1e-12)
-    assert DEFunction.raw_coefficient(0.1) == pytest.approx(
-        np.log(np.expm1(0.1)), abs=1e-15)
+        assert np.logaddexp(0.0, raw) == pytest.approx(v, rel=1e-12)
+    for v in (0.1, 1.0):  # the default start value keeps the bits of that form
+        assert DEFunction.raw_coefficient(v) == float(np.log(np.expm1(v)))
     with pytest.raises(ContractError):
         DEFunction.raw_coefficient(0.0)
 
@@ -374,7 +376,10 @@ def test_de_function_gradient_all_parameters(rng):
         func.set_flow_from_wind(wind)
         return ad.reduce_sum(func(0.0, z))
 
-    assert ad.finite_diff_check(loss, func.parameters()) < 1e-6
+    params = (func.flow.parameters() + func.diff_branch.parameters()
+              + func.adv_branch.parameters() + func.fusion.parameters()
+              + [func.diffusion_coeff_raw])
+    assert ad.finite_diff_check(loss, params) < 1e-6
 
 
 def test_de_function_coefficient_gradient_flows(rng):

@@ -341,4 +341,4 @@ def test_train_loop_adopts_split_stats():
                          TrainConfig(batch_size=8, max_epochs=1, patience=1),
                          os.devnull)
     assert model.stats is split.stats
-    assert (ckpt.norm_mean, ckpt.norm_std) == (split.stats.mean, split.stats.std)
+    assert ckpt.stats is split.stats
