@@ -8,13 +8,16 @@ their integer keys and holds no tensor other than a leaf, so an intermediate
 is freed as soon as the forward drops it. Its closure, which turns the output
 cotangent into input cotangents, keeps only the arrays that formula reads: a
 matmul by a constant Laplacian keeps the Laplacian, not the activation. What
-stays alive until backward() is therefore what the VJPs read. A loop of
-steps (the training ODE solve) is recorded as one entry by checkpoint_steps,
-which keeps only the loop's input tensor and each step's output state and
+stays alive until backward() is therefore what the VJPs read. A GRU step
+(the encoder's) is one entry, gru_cell, whose hand-written VJP keeps the
+gates z and r, the candidate n and the input state h, four state-sized
+arrays where the 20 primitives it is made of kept six. A loop of steps (the
+training ODE solve) is recorded as one entry by checkpoint_steps, which
+keeps only the loop's input tensor and each step's output state and
 recomputes a step's intermediates when backward() reaches it, so the solve
-holds steps x state rather than steps x intermediates. backward() replays the tape once in
-reverse and frees each entry as it is used; the tape is rebuilt on every
-forward pass and confined to one thread.
+holds steps x state rather than steps x intermediates. backward() replays
+the tape once in reverse and frees each entry as it is used; the tape is
+rebuilt on every forward pass and confined to one thread.
 """
 
 from __future__ import annotations
@@ -401,6 +404,62 @@ def safe_inv_sqrt(a) -> Tensor:
         return (g * gx,)
 
     return _result(y, (a,), vjp)
+
+
+def gru_cell(x, h, w_z, u_z, b_z, w_r, u_r, b_r, w_n, u_n, b_n) -> Tensor:
+    """One GRU update of an input of width 1, recorded as one tape entry.
+
+    z = sigmoid(x w_z + h u_z + b_z), r = sigmoid(x w_r + h u_r + b_r),
+    n = tanh(x w_n + (r*h) u_n + b_n) and h' = (1 - z)*h + z*n, for x of
+    shape (rows, 1), h of (rows, H), each w and b of (1, H) and each u of
+    (H, H). The values are bitwise those of the same formula composed of
+    matmul, add, sigmoid, tanh, mul and sub: x w is a product with one term
+    per entry, so x * w rounds it the same. The VJP keeps x, h, z, r and n,
+    recomputes 1 - z and r*h, and sums every cotangent in the order the
+    composed tape would, so the gradients are bitwise that tape's too; it
+    skips the cotangents of x and h when they need none.
+    """
+    x, h = as_tensor(x), as_tensor(h)
+    weights = tuple(as_tensor(t) for t in (w_z, u_z, b_z, w_r, u_r, b_r,
+                                           w_n, u_n, b_n))
+    if x.data.ndim != 2 or x.shape[1] != 1:
+        raise DimensionError(f"gru input must be (rows, 1), got {x.shape}")
+    if h.data.ndim != 2 or h.shape[0] != x.shape[0]:
+        raise DimensionError(
+            f"hidden state {h.shape} does not match input rows {x.shape[0]}")
+    hidden = h.shape[1]
+    for t, shape in zip(weights, ((1, hidden), (hidden, hidden),
+                                  (1, hidden)) * 3):
+        if t.shape != shape:
+            raise DimensionError(
+                f"gru weight {t.shape} does not match hidden state {h.shape}")
+    xd, hd = x.data, h.data
+    wz, uz, bz, wr, ur, br, wn, un, bn = (t.data for t in weights)
+    z = _logistic(xd * wz + hd @ uz + bz)
+    r = _logistic(xd * wr + hd @ ur + br)
+    n = np.tanh(xd * wn + (r * hd) @ un + bn)
+    out = (1.0 - z) * hd + z * n
+    if not _grad_enabled():
+        return _Unchecked(out)
+    need_x, need_h = x.requires_grad, h.requires_grad
+
+    def vjp(g):
+        # g_az, g_ar, g_an: the cotangents of the gates' pre-activations
+        g_an = g * z * (1.0 - n * n)
+        g_rh = g_an @ un.T
+        g_ar = g_rh * hd * r * (1.0 - r)
+        g_az = (g * n + -(g * hd)) * z * (1.0 - z)
+        gx = gh = None
+        if need_x:
+            gx = (g_an @ wn.T + g_ar @ wr.T) + g_az @ wz.T
+        if need_h:
+            gh = ((g * (1.0 - z) + g_rh * r) + g_ar @ ur.T) + g_az @ uz.T
+        grads = []
+        for ga, hu in ((g_az, hd), (g_ar, hd), (g_an, r * hd)):
+            grads += [xd.T @ ga, hu.T @ ga, ga.sum(axis=0, keepdims=True)]
+        return (gx, gh, *grads)
+
+    return _result(out, (x, h, *weights), vjp)
 
 
 def checkpoint_steps(step: Callable[[int, Tensor], Tensor], z0: Tensor,

@@ -117,18 +117,14 @@ class GRUParams:
 
 
 def gru_step(x: Tensor, h: Tensor, params: GRUParams) -> Tensor:
-    """One GRU update: h' = (1 - z)*h + z*n with reset-gated candidate n."""
-    if x.data.ndim != 2 or x.shape[1] != 1:
-        raise DimensionError(f"gru input must be (rows, 1), got {x.shape}")
-    if h.shape != (x.shape[0], params.hidden):
-        raise DimensionError(
-            f"hidden state {h.shape} does not match input rows {x.shape[0]} "
-            f"and width {params.hidden}")
-    z = ad.sigmoid(ad.matmul(x, params.w_z) + ad.matmul(h, params.u_z) + params.b_z)
-    r = ad.sigmoid(ad.matmul(x, params.w_r) + ad.matmul(h, params.u_r) + params.b_r)
-    n = ad.tanh(ad.matmul(x, params.w_n)
-                + ad.matmul(ad.mul(r, h), params.u_n) + params.b_n)
-    return ad.mul(ad.sub(1.0, z), h) + ad.mul(z, n)
+    """One GRU update: h' = (1 - z)*h + z*n with reset-gated candidate n.
+
+    x is (rows, 1) and h is (rows, hidden). The step is one tape entry,
+    ad.gru_cell, which checks the shapes and keeps z, r, n and h until
+    backward()."""
+    p = params
+    return ad.gru_cell(x, h, p.w_z, p.u_z, p.b_z, p.w_r, p.u_r, p.b_r,
+                       p.w_n, p.u_n, p.b_n)
 
 
 def latent_head(h: Tensor, params: MLPParams) -> tuple[Tensor, Tensor]:

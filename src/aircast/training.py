@@ -8,6 +8,7 @@ best validation epoch.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
@@ -150,10 +151,11 @@ def train_loop(model: Model, split: DatasetSplit, cfg: TrainConfig,
     parameters) and the per-epoch log rows, keyed by ``LOG_COLUMNS``: a row
     also holds the epoch's mean pre-clip gradient norm and the diffusion
     coefficient after its last step. Each row is also written to the CSV at
-    ``log_path`` as the epoch ends. Training stops once ``cfg.patience``
-    epochs pass without a strictly lower validation MAE, and a non-finite
-    validation MAE is a ``NumericError``. Epochs are numbered from 1 in the
-    log; a fixed seed reproduces the run bitwise.
+    ``log_path`` as the epoch ends; the file is created with the first
+    row, so a run that fails in its first epoch writes none. Training stops
+    once ``cfg.patience`` epochs pass without a strictly lower validation
+    MAE, and a non-finite validation MAE is a ``NumericError``. Epochs are
+    numbered from 1 in the log; a fixed seed reproduces the run bitwise.
     """
     if not split.train or not split.val:
         raise ConfigurationError("train and val partitions must be non-empty")
@@ -164,9 +166,8 @@ def train_loop(model: Model, split: DatasetSplit, cfg: TrainConfig,
     rows: list[dict] = []
     best_val = np.inf
     best_epoch = 0
-    with open(log_path, "w", newline="", encoding="utf-8") as log_file:
-        writer = csv.writer(log_file)
-        writer.writerow(LOG_COLUMNS)
+    with contextlib.ExitStack() as files:
+        log_file = None
         for epoch in range(1, cfg.max_epochs + 1):
             lr = lr_schedule(epoch, cfg)
             order = shuffle_rng.permutation(len(split.train))
@@ -195,6 +196,11 @@ def train_loop(model: Model, split: DatasetSplit, cfg: TrainConfig,
                                          val_mae, sum(norms) / len(norms),
                                          coeff)))
             rows.append(row)
+            if log_file is None:  # so a failed first epoch leaves no log
+                log_file = files.enter_context(
+                    open(log_path, "w", newline="", encoding="utf-8"))
+                writer = csv.writer(log_file)
+                writer.writerow(LOG_COLUMNS)
             writer.writerow([repr(v) for v in row.values()])
             log_file.flush()
             if val_mae < best_val:  # strictly: a tie keeps the earlier epoch

@@ -50,6 +50,19 @@ def stack(tensors):
                       vjp)
 
 
+def composed_gru_step(x, h, params):
+    """One GRU update composed of 20 primitives, as model.gru_step recorded
+    it before the step was one ad.gru_cell entry: the bitwise oracle of the
+    cell's values and gradients."""
+    z = ad.sigmoid(ad.matmul(x, params.w_z) + ad.matmul(h, params.u_z)
+                   + params.b_z)
+    r = ad.sigmoid(ad.matmul(x, params.w_r) + ad.matmul(h, params.u_r)
+                   + params.b_r)
+    n = ad.tanh(ad.matmul(x, params.w_n)
+                + ad.matmul(ad.mul(r, h), params.u_n) + params.b_n)
+    return ad.mul(ad.sub(1.0, z), h) + ad.mul(z, n)
+
+
 def rewrite_metadata(src, dst, edit) -> None:
     """Copy a .npz container with its JSON metadata passed through edit."""
     with np.load(src) as archive:

@@ -596,6 +596,20 @@ def test_train_with_huge_diffusion_coeff_init_runs_or_fails_typed(
     assert message in (captured.out if code == 0 else captured.err)
 
 
+def test_train_failing_in_its_first_epoch_writes_no_log(pipeline, tmp_path,
+                                                        capsys):
+    config = tmp_path / "config.ini"
+    config.write_text(CONFIG_INI.replace(
+        "[model]\n", "[model]\ndiffusion_coeff_init = 1e300\n"),
+        encoding="utf-8")
+    out_dir = tmp_path / "run"
+    assert cli_dispatch(["train", "--config", str(config), "--data",
+                         str(pipeline["data"]), "--out-dir",
+                         str(out_dir)]) == 2
+    assert "non-finite state in interval 1" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
 @pytest.mark.parametrize("column, value", [
     ("pm25", "-40"), ("wind_speed", "-5"), ("wind_direction", "-720"),
     ("wind_direction", "1e308"),

@@ -2,6 +2,7 @@
 checkpoint persistence, and gradient correctness per parameter group."""
 
 import json
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
@@ -23,7 +24,8 @@ from aircast.model import (DecoderParams, GRUParams, Model, ModelConfig,
                            reparameterize, save_checkpoint)
 from aircast.training import mae_loss
 
-from conftest import grid_stations, rewrite_metadata, stack, toy_graph
+from conftest import (composed_gru_step, grid_stations, rewrite_metadata,
+                      stack, toy_graph)
 
 T0 = datetime(2017, 3, 1, tzinfo=timezone.utc)
 
@@ -112,14 +114,84 @@ def test_gru_step_shape_validation(rng):
 
 
 def test_gru_step_gradient(rng):
+    # x and h as Parameters, so the cell's own cotangents of its inputs are
+    # checked as well as the nine weights'
     params = GRUParams.create(rng, 3)
-    x = Tensor(rng.standard_normal((2, 1)))
-    h = Tensor(rng.standard_normal((2, 3)))
+    x = Parameter(rng.standard_normal((2, 1)), "x")
+    h = Parameter(rng.standard_normal((2, 3)), "h")
 
     def loss():
         return ad.reduce_sum(gru_step(x, h, params))
 
-    assert ad.finite_diff_check(loss, params.parameters()) < 1e-6
+    assert ad.finite_diff_check(loss, params.parameters() + [x, h]) < 1e-6
+
+
+@pytest.mark.parametrize("rows, hidden", [(1120, 64), (3, 2)],
+                         ids=["paper", "tiny"])
+def test_gru_step_is_bitwise_the_composed_primitives(monkeypatch, rng, rows,
+                                                      hidden):
+    gru = GRUParams.create(rng, hidden)
+    head = MLPParams.create(rng, hidden, 5, 4, "head")
+    x_hist = rng.standard_normal((24, rows, 1))
+    h0 = Parameter(rng.standard_normal((rows, hidden)), "h0")
+
+    def head_loss(mu, sigma):
+        return ad.reduce_sum(ad.mul(mu, mu)) + ad.reduce_mean(sigma)
+
+    def grads():
+        out = [p.grad.copy() for p in gru.parameters()]
+        for p in gru.parameters():
+            p.zero_grad()
+        return out
+
+    def run(step):
+        monkeypatch.setattr("aircast.model.gru_step", step)
+        mu, sigma = encode_history(x_hist, gru, head)  # from the zero state
+        ad.backward(head_loss(mu, sigma))
+        out = [mu.data, sigma.data] + grads()
+        h = h0
+        for x in x_hist:
+            h = step(Tensor(x), h, gru)
+        ad.backward(head_loss(*latent_head(h, head)))
+        out += [h.data, h0.grad.copy()] + grads()
+        h0.zero_grad()
+        return out
+
+    fused, composed = run(gru_step), run(composed_gru_step)
+    assert len(fused) == 22
+    for a, b in zip(fused, composed):
+        assert np.array_equal(a, b)
+
+
+def test_gru_step_is_one_tape_entry_and_none_without_recording(rng):
+    gru = GRUParams.create(rng, 4)
+    x = Tensor(rng.standard_normal((5, 1)))
+    h = Tensor(np.zeros((5, 4)))
+    with no_grad():
+        for _ in range(3):
+            h = gru_step(x, h, gru)
+    assert ad.tape_size() == 0
+    for _ in range(3):
+        h = gru_step(x, h, gru)
+    assert ad.tape_size() == 3
+
+
+def test_recorded_encoder_holds_four_states_per_step(rng):
+    # a step's one entry keeps z, r, n and its input h until backward();
+    # composed of primitives it kept 1 - z and r*h as well, six in all
+    steps, rows, hidden = 24, 256, 32
+    gru = GRUParams.create(rng, hidden)
+    head = MLPParams.create(rng, hidden, 2, 2, "head")
+    x_hist = rng.standard_normal((steps, rows, 1))
+    state = rows * hidden * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mu, sigma = encode_history(x_hist, gru, head)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 4.5 * steps * state
 
 
 def test_latent_head_matches_numpy_oracle(rng):
