@@ -11,13 +11,15 @@ matmul by a constant Laplacian keeps the Laplacian, not the activation. What
 stays alive until backward() is therefore what the VJPs read. A GRU step
 (the encoder's) is one entry, gru_cell, whose hand-written VJP keeps the
 gates z and r, the candidate n and the input state h, four state-sized
-arrays where the 20 primitives it is made of kept six. A loop of steps (the
-training ODE solve) is recorded as one entry by checkpoint_steps, which
-keeps only the loop's input tensor and each step's output state and
-recomputes a step's intermediates when backward() reaches it, so the solve
-holds steps x state rather than steps x intermediates. backward() replays
-the tape once in reverse and frees each entry as it is used; the tape is
-rebuilt on every forward pass and confined to one thread.
+arrays where the 20 primitives it is made of kept six. A call of the latent
+ODE's right-hand side is one entry too, which physics records through
+record(). A loop of steps (the training ODE solve) is recorded as one entry
+by checkpoint_steps, which keeps only the loop's input tensor and each
+step's output state and recomputes a step's intermediates when backward()
+reaches it, so the solve holds steps x state rather than steps x
+intermediates. backward() replays the tape once in reverse and frees each
+entry as it is used; the tape is rebuilt on every forward pass and confined
+to one thread.
 """
 
 from __future__ import annotations
@@ -141,12 +143,17 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _result(values: np.ndarray, inputs: tuple, vjp: Callable) -> Tensor:
+def record(values: np.ndarray, inputs: tuple, vjp: Callable) -> Tensor:
     """Wrap values; when recording, append (out key, input slots, vjp).
 
     An input slot is None when the input needs no gradient, else (key, leaf)
     where leaf is the tensor itself if it owns a grad buffer and None if it
-    is an intermediate, which the entry must not keep alive.
+    is an intermediate, which the entry must not keep alive. vjp(g) returns
+    or yields one cotangent per input, None for one it skips. An input may
+    be listed once per use: backward() adds its cotangents to what it holds
+    in the listed order, so a fused primitive (the physics right-hand side)
+    sums them as the primitives it replaces did, and a yielded cotangent is
+    added before the next is made.
     """
     out = _Unchecked(values)
     if _grad_enabled() and any(t.requires_grad for t in inputs):
@@ -157,7 +164,7 @@ def _result(values: np.ndarray, inputs: tuple, vjp: Callable) -> Tensor:
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape."""
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
@@ -197,12 +204,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         ga = None if for_ga is None else \
-            _unbroadcast(g @ np.swapaxes(for_ga, -1, -2), ash)
+            unbroadcast(g @ np.swapaxes(for_ga, -1, -2), ash)
         gb = None if for_gb is None else \
-            _unbroadcast(np.swapaxes(for_gb, -1, -2) @ g, bsh)
+            unbroadcast(np.swapaxes(for_gb, -1, -2) @ g, bsh)
         return ga, gb
 
-    return _result(out, (a, b), vjp)
+    return record(out, (a, b), vjp)
 
 
 def add(a, b) -> Tensor:
@@ -214,9 +221,9 @@ def add(a, b) -> Tensor:
     ash, bsh = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, ash), _unbroadcast(g, bsh)
+        return unbroadcast(g, ash), unbroadcast(g, bsh)
 
-    return _result(out, (a, b), vjp)
+    return record(out, (a, b), vjp)
 
 
 def sub(a, b) -> Tensor:
@@ -228,9 +235,9 @@ def sub(a, b) -> Tensor:
     ash, bsh = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, ash), _unbroadcast(-g, bsh)
+        return unbroadcast(g, ash), unbroadcast(-g, bsh)
 
-    return _result(out, (a, b), vjp)
+    return record(out, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
@@ -247,11 +254,11 @@ def mul(a, b) -> Tensor:
     for_gb = ad if b.requires_grad else None
 
     def vjp(g):
-        ga = None if for_ga is None else _unbroadcast(g * for_ga, ash)
-        gb = None if for_gb is None else _unbroadcast(g * for_gb, bsh)
+        ga = None if for_ga is None else unbroadcast(g * for_ga, ash)
+        gb = None if for_gb is None else unbroadcast(g * for_gb, bsh)
         return ga, gb
 
-    return _result(out, (a, b), vjp)
+    return record(out, (a, b), vjp)
 
 
 def neg(a) -> Tensor:
@@ -260,7 +267,7 @@ def neg(a) -> Tensor:
     def vjp(g):
         return (-g,)
 
-    return _result(-a.data, (a,), vjp)
+    return record(-a.data, (a,), vjp)
 
 
 def tanh(a) -> Tensor:
@@ -270,10 +277,10 @@ def tanh(a) -> Tensor:
     def vjp(g):
         return (g * (1.0 - y * y),)
 
-    return _result(y, (a,), vjp)
+    return record(y, (a,), vjp)
 
 
-def _logistic(x: np.ndarray) -> np.ndarray:
+def logistic(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-x) without overflow: both exponents are at most 0.
 
     Bitwise equal to 1 / (1 + e^-|x|) for x >= 0 and e^-|x| / (1 + e^-|x|)
@@ -284,12 +291,12 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    y = _logistic(a.data)
+    y = logistic(a.data)
 
     def vjp(g):
         return (g * y * (1.0 - y),)
 
-    return _result(y, (a,), vjp)
+    return record(y, (a,), vjp)
 
 
 def exp(a) -> Tensor:
@@ -299,7 +306,7 @@ def exp(a) -> Tensor:
     def vjp(g):
         return (g * y,)
 
-    return _result(y, (a,), vjp)
+    return record(y, (a,), vjp)
 
 
 def softplus(a) -> Tensor:
@@ -309,9 +316,9 @@ def softplus(a) -> Tensor:
     y = np.logaddexp(0.0, x)
 
     def vjp(g):
-        return (g * _logistic(x),)
+        return (g * logistic(x),)
 
-    return _result(y, (a,), vjp)
+    return record(y, (a,), vjp)
 
 
 def absolute(a) -> Tensor:
@@ -322,7 +329,7 @@ def absolute(a) -> Tensor:
     def vjp(g):
         return (g * np.sign(x),)
 
-    return _result(np.abs(x), (a,), vjp)
+    return record(np.abs(x), (a,), vjp)
 
 
 def _reduce(a, axis, mean: bool) -> Tensor:
@@ -348,7 +355,7 @@ def _reduce(a, axis, mean: bool) -> Tensor:
         return (np.broadcast_to(g / count, sh).copy(),)
 
     values = a.data.mean(axis=axis) if mean else a.data.sum(axis=axis)
-    return _result(values, (a,), vjp)
+    return record(values, (a,), vjp)
 
 
 def reduce_sum(a, axis=None) -> Tensor:
@@ -370,7 +377,7 @@ def reshape(a, shape: tuple) -> Tensor:
     def vjp(g):
         return (g.reshape(old),)
 
-    return _result(values, (a,), vjp)
+    return record(values, (a,), vjp)
 
 
 def slice_cols(a, start: int, stop: int) -> Tensor:
@@ -387,7 +394,7 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
         full[:, start:stop] = g
         return (full,)
 
-    return _result(a.data[:, start:stop].copy(), (a,), vjp)
+    return record(a.data[:, start:stop].copy(), (a,), vjp)
 
 
 def safe_inv_sqrt(a) -> Tensor:
@@ -403,7 +410,7 @@ def safe_inv_sqrt(a) -> Tensor:
         gx[pos] = -0.5 * y[pos] / x[pos]
         return (g * gx,)
 
-    return _result(y, (a,), vjp)
+    return record(y, (a,), vjp)
 
 
 def gru_cell(x, h, w_z, u_z, b_z, w_r, u_r, b_r, w_n, u_n, b_n) -> Tensor:
@@ -435,8 +442,8 @@ def gru_cell(x, h, w_z, u_z, b_z, w_r, u_r, b_r, w_n, u_n, b_n) -> Tensor:
                 f"gru weight {t.shape} does not match hidden state {h.shape}")
     xd, hd = x.data, h.data
     wz, uz, bz, wr, ur, br, wn, un, bn = (t.data for t in weights)
-    z = _logistic(xd * wz + hd @ uz + bz)
-    r = _logistic(xd * wr + hd @ ur + br)
+    z = logistic(xd * wz + hd @ uz + bz)
+    r = logistic(xd * wr + hd @ ur + br)
     n = np.tanh(xd * wn + (r * hd) @ un + bn)
     out = (1.0 - z) * hd + z * n
     if not _grad_enabled():
@@ -459,7 +466,7 @@ def gru_cell(x, h, w_z, u_z, b_z, w_r, u_r, b_r, w_n, u_n, b_n) -> Tensor:
             grads += [xd.T @ ga, hu.T @ ga, ga.sum(axis=0, keepdims=True)]
         return (gx, gh, *grads)
 
-    return _result(out, (x, h, *weights), vjp)
+    return record(out, (x, h, *weights), vjp)
 
 
 def checkpoint_steps(step: Callable[[int, Tensor], Tensor], z0: Tensor,

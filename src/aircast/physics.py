@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Parameter, Tensor, unbroadcast
 from .errors import ConfigurationError, ContractError, DimensionError
 from .graph import ScaledLaplacian
 from .odeint import SolverConfig, TimeGrid, dopri5_integrate_stats
@@ -127,29 +127,96 @@ class PowerBranchParams:
         return [th for layer in self.thetas for th in layer]
 
 
-def cheb_branch(lap: Tensor, h0: Tensor, params: PowerBranchParams) -> Tensor:
-    """Residual sum h0 + sum_l tanh(sum_k Lap^k H theta_k).
+def cheb_branch(lap: np.ndarray, h0: np.ndarray, params: PowerBranchParams
+                ) -> tuple[np.ndarray, list]:
+    """Residual sum h0 + sum_l tanh(sum_k Lap^k H theta_k) on arrays, and
+    what its gradient reads.
 
     The state is (n, latent) or a minibatch (batch, n, latent). lap is one
     (n, n) Laplacian shared by every sample or a stack (batch, n, n) with one
-    per sample; either way each power is a single batched matmul.
+    per sample; either way each power is a single batched matmul. Returns
+    (total, layers), where layers[l] = (powers, h) holds layer l's powers
+    Lap^k H for k = 0..order-1 and its output h.
     """
-    if lap.data.ndim not in (2, 3) or lap.shape[-1] != lap.shape[-2]:
+    if lap.ndim not in (2, 3) or lap.shape[-1] != lap.shape[-2]:
         raise DimensionError(f"laplacian must be square, got {lap.shape}")
-    if h0.data.ndim not in (2, 3) or h0.shape[-2] != lap.shape[-1]:
+    if h0.ndim not in (2, 3) or h0.shape[-2] != lap.shape[-1]:
         raise DimensionError(
             f"state {h0.shape} does not match laplacian {lap.shape}")
-    h = h0
-    total = h0
+    h = total = h0
+    layers = []
     for layer in params.thetas:
-        power = h
-        acc = ad.matmul(power, layer[0])
+        powers = [h]
+        acc = h @ layer[0].data
         for theta in layer[1:]:
-            power = ad.matmul(lap, power)
-            acc = acc + ad.matmul(power, theta)
-        h = ad.tanh(acc)
+            powers.append(lap @ powers[-1])
+            acc = acc + powers[-1] @ theta.data
+        h = np.tanh(acc)
         total = total + h
-    return total
+        layers.append((powers, h))
+    return total, layers
+
+
+def _swap(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
+def _branch_slots(lap: Tensor, state: Tensor,
+                  params: PowerBranchParams) -> list:
+    """The inputs of cheb_branch's share of the right-hand side's tape
+    entry, in the order _branch_vjp yields their cotangents: layer by layer
+    from the last, its weights and then the Laplacian once per power
+    product; then the state once per use, in the residual sum, the first
+    power (from order 2 on) and the layer-0 product."""
+    slots = []
+    for layer in reversed(params.thetas):
+        slots += layer
+        slots += [lap] * (len(layer) - 1)
+    return slots + [state] * _state_uses(params)
+
+
+def _state_uses(params: PowerBranchParams) -> int:
+    return 2 if len(params.thetas[0]) == 1 else 3
+
+
+def _branch_vjp(g: np.ndarray, lap: np.ndarray, layers: list,
+                params: PowerBranchParams, need_state: bool,
+                need_lap: bool):
+    """Yields the cotangents of _branch_slots from the cotangent g of
+    cheb_branch's output, None for the state's or the Laplacian's when not
+    needed.
+
+    Each is what the branch's composed matmul, add and tanh primitives
+    compute, and a product's several cotangents are summed as that tape
+    sums them. The uses of the state and of the Laplacian come in the order
+    that tape replays them, so backward() adds them to what it holds in
+    that order too. Being yielded, each is summed before the next is made.
+    """
+    g_h = g  # the cotangent of the layer's output h
+    for l in range(len(layers) - 1, -1, -1):
+        powers, h = layers[l]
+        thetas = params.thetas[l]
+        g_acc = g_h * (1.0 - h * h)
+        for p, theta in zip(powers, thetas):
+            yield unbroadcast(_swap(p) @ g_acc, theta.shape)
+        g_up = None  # power k's cotangent from the power above it
+        for k in range(len(thetas) - 1, 0, -1):
+            g_p = g_acc @ _swap(thetas[k].data)
+            if g_up is not None:
+                g_p = g_up + g_p
+            yield (unbroadcast(g_p @ _swap(powers[k - 1]), lap.shape)
+                   if need_lap else None)
+            g_up = _swap(lap) @ g_p if k > 1 or l > 0 or need_state else None
+        if l > 0:
+            g_0 = g_acc @ _swap(thetas[0].data)
+            g_h = (g_0 if g_up is None else g_up + g_0) + g
+        elif need_state:
+            yield g
+            if g_up is not None:
+                yield g_up
+            yield g_acc @ _swap(thetas[0].data)
+        else:
+            yield from [None] * _state_uses(params)
 
 
 @dataclass
@@ -174,9 +241,31 @@ class FusionParams:
         return [self.w_diff, self.w_adv, self.b]
 
 
-def gate_alpha(h_diff: Tensor, h_adv: Tensor, params: FusionParams) -> Tensor:
-    return ad.sigmoid(ad.matmul(h_diff, params.w_diff)
-                      + ad.matmul(h_adv, params.w_adv) + params.b)
+def gate_alpha(h_diff: np.ndarray, h_adv: np.ndarray,
+               params: FusionParams) -> np.ndarray:
+    return ad.logistic(h_diff @ params.w_diff.data + h_adv @ params.w_adv.data
+                       + params.b.data)
+
+
+def _gate_vjp(g: np.ndarray, h_diff: np.ndarray, h_adv: np.ndarray,
+              alpha: np.ndarray, coeff, params: FusionParams):
+    """From the cotangent g of alpha*(h_diff*k) + (1 - alpha)*h_adv: those
+    of h_adv, h_diff and k, and of the gate's weights in params.parameters()
+    order, each computed and summed as the composed mul, sub, sigmoid, add
+    and matmul primitives compute and sum it."""
+    g_alpha = -(g * h_adv)
+    g_adv = g * (1.0 - alpha)
+    g_alpha = g_alpha + g * (h_diff * coeff)
+    g_d1 = g * alpha
+    g_diff = g_d1 * coeff
+    g_coeff = unbroadcast(g_d1 * h_diff, np.shape(coeff))
+    g_pre = g_alpha * alpha * (1.0 - alpha)
+    g_adv = g_adv + g_pre @ _swap(params.w_adv.data)
+    g_diff = g_diff + g_pre @ _swap(params.w_diff.data)
+    weights = [unbroadcast(_swap(h_diff) @ g_pre, params.w_diff.shape),
+               unbroadcast(_swap(h_adv) @ g_pre, params.w_adv.shape),
+               unbroadcast(g_pre, params.b.shape)]
+    return g_adv, g_diff, g_coeff, weights
 
 
 GATE_MODES = ("learned", "diff_only", "adv_only")
@@ -196,6 +285,13 @@ class DEFunction:
     1 (diffusion only) or 0 (advection only). The system is autonomous: the
     time argument (a float, or per-sample times from a batched solve) is
     ignored.
+
+    A call computes F on arrays and, when recording, appends one tape entry
+    whose hand-written VJP gives every cotangent bitwise as the 48 composed
+    primitives it replaces did (tests/conftest.py keeps them). The entry
+    keeps each branch's powers and layer outputs, both branch outputs and
+    the gate: fewer arrays than those primitives kept, which also kept
+    1 - alpha and alpha's factor k*H_diff.
     """
 
     def __init__(self, dist_lap: ScaledLaplacian, flow: MLPParams,
@@ -237,17 +333,57 @@ class DEFunction:
             raise DimensionError(
                 f"state {z.shape} does not match flow laplacian "
                 f"{self.flow_lap.shape}")
-        coeff = self.diffusion_coefficient()
-        if self.gate_mode == "diff_only":
-            h_diff = cheb_branch(self.dist_tensor, z, self.diff_branch)
-            return ad.neg(ad.mul(h_diff, coeff))
-        if self.gate_mode == "adv_only":
-            return ad.neg(cheb_branch(self.flow_lap, z, self.adv_branch))
-        h_diff = cheb_branch(self.dist_tensor, z, self.diff_branch)
-        h_adv = cheb_branch(self.flow_lap, z, self.adv_branch)
-        alpha = gate_alpha(h_diff, h_adv, self.fusion)
-        return ad.neg(ad.mul(alpha, ad.mul(h_diff, coeff))
-                      + ad.mul(ad.sub(1.0, alpha), h_adv))
+        mode, flow_lap, raw = self.gate_mode, self.flow_lap, self.diffusion_coeff_raw
+        dist = self.dist_tensor.data
+        coeff = np.logaddexp(0.0, raw.data)  # softplus
+        if mode != "adv_only":
+            h_diff, diff_layers = cheb_branch(dist, z.data, self.diff_branch)
+        if mode != "diff_only":
+            h_adv, adv_layers = cheb_branch(flow_lap.data, z.data,
+                                            self.adv_branch)
+        if mode == "diff_only":
+            out = -(h_diff * coeff)
+            mixed = (h_diff,)  # what the VJP reads besides the branches
+        elif mode == "adv_only":
+            out, mixed = -h_adv, ()
+        else:
+            alpha = gate_alpha(h_diff, h_adv, self.fusion)
+            out = -(alpha * (h_diff * coeff) + (1.0 - alpha) * h_adv)
+            mixed = (h_diff, h_adv, alpha)
+        # the inputs in the order the composed tape replays them: the
+        # advection branch's, the diffusion branch's, the gate's weights and
+        # the coefficient
+        inputs = []
+        if mode != "diff_only":
+            inputs += _branch_slots(flow_lap, z, self.adv_branch)
+        if mode != "adv_only":
+            inputs += _branch_slots(self.dist_tensor, z, self.diff_branch)
+        if mode == "learned":
+            inputs += self.fusion.parameters()
+        if mode != "adv_only":
+            inputs.append(raw)
+        need_z, need_lap = z.requires_grad, flow_lap.requires_grad
+
+        def vjp(g):
+            g = -g
+            if mode == "learned":
+                g_adv, g_diff, g_coeff, gate_cts = _gate_vjp(
+                    g, *mixed, coeff, self.fusion)
+            elif mode == "adv_only":
+                g_adv = g
+            else:
+                g_diff, gate_cts = g * coeff, []
+                g_coeff = unbroadcast(g * mixed[0], np.shape(coeff))
+            if mode != "diff_only":
+                yield from _branch_vjp(g_adv, flow_lap.data, adv_layers,
+                                       self.adv_branch, need_z, need_lap)
+            if mode != "adv_only":
+                yield from _branch_vjp(g_diff, dist, diff_layers,
+                                       self.diff_branch, need_z, False)
+                yield from gate_cts
+                yield g_coeff * ad.logistic(raw.data)  # softplus's VJP
+
+        return ad.record(out, tuple(inputs), vjp)
 
 
 _REFERENCE_CFG = SolverConfig(rtol=1e-8, atol=1e-8)

@@ -46,7 +46,7 @@ def stack(tensors):
     def vjp(g):
         return tuple(np.take(g, i, axis=0) for i in range(len(tensors)))
 
-    return ad._result(np.stack([t.data for t in tensors]), tuple(tensors),
+    return ad.record(np.stack([t.data for t in tensors]), tuple(tensors),
                       vjp)
 
 
@@ -61,6 +61,44 @@ def composed_gru_step(x, h, params):
     n = ad.tanh(ad.matmul(x, params.w_n)
                 + ad.matmul(ad.mul(r, h), params.u_n) + params.b_n)
     return ad.mul(ad.sub(1.0, z), h) + ad.mul(z, n)
+
+
+def composed_cheb_branch(lap, h0, params):
+    """physics.cheb_branch's residual Laplacian-power stack composed of
+    matmul, add and tanh primitives on tensors."""
+    h = total = h0
+    for layer in params.thetas:
+        power = h
+        acc = ad.matmul(power, layer[0])
+        for theta in layer[1:]:
+            power = ad.matmul(lap, power)
+            acc = acc + ad.matmul(power, theta)
+        h = ad.tanh(acc)
+        total = total + h
+    return total
+
+
+def composed_gate_alpha(h_diff, h_adv, params):
+    return ad.sigmoid(ad.matmul(h_diff, params.w_diff)
+                      + ad.matmul(h_adv, params.w_adv) + params.b)
+
+
+def composed_rhs(func, z):
+    """F(z) of a bound physics.DEFunction composed of 48 primitives (order
+    3, two layers, learned gate), as DEFunction.__call__ recorded it before
+    each call was one tape entry: the bitwise oracle of the call's values
+    and gradients."""
+    coeff = func.diffusion_coefficient()
+    if func.gate_mode == "diff_only":
+        h_diff = composed_cheb_branch(func.dist_tensor, z, func.diff_branch)
+        return ad.neg(ad.mul(h_diff, coeff))
+    if func.gate_mode == "adv_only":
+        return ad.neg(composed_cheb_branch(func.flow_lap, z, func.adv_branch))
+    h_diff = composed_cheb_branch(func.dist_tensor, z, func.diff_branch)
+    h_adv = composed_cheb_branch(func.flow_lap, z, func.adv_branch)
+    alpha = composed_gate_alpha(h_diff, h_adv, func.fusion)
+    return ad.neg(ad.mul(alpha, ad.mul(h_diff, coeff))
+                  + ad.mul(ad.sub(1.0, alpha), h_adv))
 
 
 def rewrite_metadata(src, dst, edit) -> None:

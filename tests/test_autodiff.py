@@ -469,7 +469,7 @@ def test_failure_in_a_recompute_leaves_tape_empty_and_recording_on(rng, where):
         if ad._grad_enabled():  # only when backward() runs the step again
             if where == "step":
                 raise RuntimeError("step failed")
-            z = ad._result(z.data, (z,), fail)
+            z = ad.record(z.data, (z,), fail)
         return z
 
     loss = ad.reduce_sum(ad.checkpoint_steps(step, z0, 3))

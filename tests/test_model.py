@@ -335,13 +335,13 @@ def test_forward_batch_train_records_no_stacked_graph(rng, monkeypatch):
     model = Model(toy_graph(n), tiny_config())
     samples = [make_sample(rng, n, 2, 2, start_index=k) for k in range(batch)]
     sizes = set()
-    result = ad._result
+    result = ad.record
 
     def recording_result(values, inputs, vjp):
         sizes.add(np.asarray(values).size)
         return result(values, inputs, vjp)
 
-    monkeypatch.setattr(ad, "_result", recording_result)
+    monkeypatch.setattr(ad, "record", recording_result)
     pred = model.forward_batch(samples, "train", np.random.default_rng(0))
     assert pred.shape == (2, batch * n, 1)
     assert ad.tape_size() > 0 and len(sizes) > 1

@@ -16,6 +16,7 @@ from aircast.physics import (GATE_MODES, DEFunction, FusionParams,
                              flow_scaled_laplacian, gate_alpha, mlp,
                              simulate_advection_reference,
                              simulate_diffusion_reference, uniform_param)
+from conftest import composed_cheb_branch
 
 
 def make_flow(rng, hidden=8):
@@ -162,9 +163,11 @@ def test_cheb_branch_matches_numpy_oracle(rng):
     h0 = rng.standard_normal((5, 6))
     params = PowerBranchParams.create(rng, 6, order=3, layers=2,
                                       prefix="branch")
-    with no_grad():
-        got = cheb_branch(Tensor(lap), Tensor(h0), params).data
+    got, layers = cheb_branch(lap, h0, params)
     np.testing.assert_allclose(got, cheb_oracle(lap, h0, params), atol=1e-12)
+    # what the VJP reads: each layer's powers Lap^k H and its output
+    assert [len(powers) for powers, _ in layers] == [3, 3]
+    assert layers[0][0][0] is h0 and layers[1][0][0] is layers[0][1]
 
 
 def test_cheb_branch_order_one_uses_no_laplacian(rng):
@@ -172,10 +175,8 @@ def test_cheb_branch_order_one_uses_no_laplacian(rng):
     h0 = rng.standard_normal((4, 3))
     params = PowerBranchParams.create(rng, 3, order=1, layers=2,
                                       prefix="branch")
-    with no_grad():
-        a = cheb_branch(Tensor(np.zeros((4, 4))), Tensor(h0), params).data
-        b = cheb_branch(Tensor(rng.standard_normal((4, 4))), Tensor(h0),
-                        params).data
+    a, _ = cheb_branch(np.zeros((4, 4)), h0, params)
+    b, _ = cheb_branch(rng.standard_normal((4, 4)), h0, params)
     np.testing.assert_array_equal(a, b)
 
 
@@ -183,9 +184,9 @@ def test_cheb_branch_shape_validation(rng):
     params = PowerBranchParams.create(rng, 3, order=3, layers=2,
                                       prefix="branch")
     with pytest.raises(DimensionError):
-        cheb_branch(Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 3))), params)
+        cheb_branch(np.zeros((4, 3)), np.zeros((4, 3)), params)
     with pytest.raises(DimensionError):
-        cheb_branch(Tensor(np.zeros((4, 4))), Tensor(np.zeros((5, 3))), params)
+        cheb_branch(np.zeros((4, 4)), np.zeros((5, 3)), params)
 
 
 def test_cheb_params_validation(rng):
@@ -200,13 +201,15 @@ def test_cheb_params_validation(rng):
 
 
 def test_cheb_branch_gradient(rng):
+    # the composed branch is the bitwise oracle of the right-hand side's
+    # gradients (tests/test_rhs.py), so its own are checked here
     lap = rng.standard_normal((3, 3)) * 0.3
     h0 = Tensor(rng.standard_normal((3, 4)))
     params = PowerBranchParams.create(rng, 4, order=2, layers=2,
                                       prefix="branch")
 
     def loss():
-        return ad.reduce_sum(cheb_branch(Tensor(lap), h0, params))
+        return ad.reduce_sum(composed_cheb_branch(Tensor(lap), h0, params))
 
     assert ad.finite_diff_check(loss, params.parameters()) < 1e-6
 
@@ -280,10 +283,9 @@ def test_de_function_learned_combines_branches(rng):
     with no_grad():
         got = func(0.0, Tensor(z)).data
         coeff = func.diffusion_coefficient().data
-        alpha = gate_alpha(
-            Tensor(cheb_oracle(func.dist_tensor.data, z, func.diff_branch)),
-            Tensor(cheb_oracle(func.flow_lap.data, z, func.adv_branch)),
-            func.fusion).data
+    alpha = gate_alpha(cheb_oracle(func.dist_tensor.data, z, func.diff_branch),
+                       cheb_oracle(func.flow_lap.data, z, func.adv_branch),
+                       func.fusion)
     h_diff = cheb_oracle(func.dist_tensor.data, z, func.diff_branch)
     h_adv = cheb_oracle(func.flow_lap.data, z, func.adv_branch)
     expected = -(alpha * coeff * h_diff + (1 - alpha) * h_adv)
@@ -308,10 +310,12 @@ def test_de_function_learned_is_convex_combination(rng):
     # branches, -k*H_diff and -H_adv, in every component
     func = make_de_function(rng, n=5, latent=4)
     z = Tensor(rng.standard_normal((5, 4)))
+    alpha = gate_alpha(cheb_branch(func.dist_tensor.data, z.data,
+                                   func.diff_branch)[0],
+                       cheb_branch(func.flow_lap.data, z.data,
+                                   func.adv_branch)[0],
+                       func.fusion)
     with no_grad():
-        alpha = gate_alpha(cheb_branch(func.dist_tensor, z, func.diff_branch),
-                           cheb_branch(func.flow_lap, z, func.adv_branch),
-                           func.fusion).data
         learned = func(0.0, z).data
         func.gate_mode = "diff_only"
         diff = func(0.0, z).data
