@@ -43,7 +43,8 @@ def _tape() -> list:
     return _state.tape
 
 
-def _grad_enabled() -> bool:
+def grad_enabled() -> bool:
+    """Whether primitives record on this thread: False inside no_grad."""
     return getattr(_state, "grad_enabled", True)
 
 
@@ -51,7 +52,7 @@ class no_grad:
     """Context manager that disables tape recording on this thread."""
 
     def __enter__(self):
-        self._prev = _grad_enabled()
+        self._prev = grad_enabled()
         _state.grad_enabled = False
         return self
 
@@ -156,7 +157,7 @@ def record(values: np.ndarray, inputs: tuple, vjp: Callable) -> Tensor:
     added before the next is made.
     """
     out = _Unchecked(values)
-    if _grad_enabled() and any(t.requires_grad for t in inputs):
+    if grad_enabled() and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         slots = tuple((t.key, t if t.grad is not None else None)
                       if t.requires_grad else None for t in inputs)
@@ -196,7 +197,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise DimensionError(
             f"matmul: incompatible shapes {a.shape} @ {b.shape}") from None
-    if not _grad_enabled():  # nothing is recorded, so skip the VJP's captures
+    if not grad_enabled():  # nothing is recorded, so skip the VJP's captures
         return _Unchecked(out)
     ash, bsh = ad.shape, bd.shape
     for_ga = bd if a.requires_grad else None
@@ -247,7 +248,7 @@ def mul(a, b) -> Tensor:
         out = ad * bd
     except ValueError:
         raise _no_broadcast("mul", a, b) from None
-    if not _grad_enabled():
+    if not grad_enabled():
         return _Unchecked(out)
     ash, bsh = a.shape, b.shape
     for_ga = bd if a.requires_grad else None
@@ -446,7 +447,7 @@ def gru_cell(x, h, w_z, u_z, b_z, w_r, u_r, b_r, w_n, u_n, b_n) -> Tensor:
     r = logistic(xd * wr + hd @ ur + br)
     n = np.tanh(xd * wn + (r * hd) @ un + bn)
     out = (1.0 - z) * hd + z * n
-    if not _grad_enabled():
+    if not grad_enabled():
         return _Unchecked(out)
     need_x, need_h = x.requires_grad, h.requires_grad
 
@@ -497,11 +498,11 @@ def checkpoint_steps(step: Callable[[int, Tensor], Tensor], z0: Tensor,
             z = step(i, z)
             states.append(z.data)
     out = _Unchecked(np.stack(states))
-    if not _grad_enabled():
+    if not grad_enabled():
         return out
 
     def replay(g, grads):
-        outer, enabled = _tape(), _grad_enabled()
+        outer, enabled = _tape(), grad_enabled()
         key = None  # the input of step i + 1, which holds z_{i+1}'s cotangent
         try:
             for i in range(n - 1, -1, -1):

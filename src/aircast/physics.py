@@ -134,24 +134,25 @@ def cheb_branch(lap: np.ndarray, h0: np.ndarray, params: PowerBranchParams
 
     The state is (n, latent) or a minibatch (batch, n, latent). lap is one
     (n, n) Laplacian shared by every sample or a stack (batch, n, n) with one
-    per sample; either way each power is a single batched matmul. Returns
-    (total, layers), where layers[l] = (powers, h) holds layer l's powers
-    Lap^k H for k = 0..order-1 and its output h.
+    per sample of a minibatch; either way each power is a single batched
+    matmul. Returns (total, layers), where layers[l] = (powers, h) holds
+    layer l's powers Lap^k H for k = 0..order-1 and its output h.
     """
     if lap.ndim not in (2, 3) or lap.shape[-1] != lap.shape[-2]:
         raise DimensionError(f"laplacian must be square, got {lap.shape}")
-    if h0.ndim not in (2, 3) or h0.shape[-2] != lap.shape[-1]:
+    if (h0.ndim not in (2, 3) or h0.shape[-2] != lap.shape[-1]
+            or lap.ndim == 3 and h0.shape[:-2] != lap.shape[:-2]):
         raise DimensionError(
             f"state {h0.shape} does not match laplacian {lap.shape}")
     h = total = h0
     layers = []
     for layer in params.thetas:
         powers = [h]
-        acc = h @ layer[0].data
+        acc = h @ layer[0].data  # a new array, so summed into in place
         for theta in layer[1:]:
             powers.append(lap @ powers[-1])
-            acc = acc + powers[-1] @ theta.data
-        h = np.tanh(acc)
+            acc += powers[-1] @ theta.data
+        h = np.tanh(acc, out=acc)
         total = total + h
         layers.append((powers, h))
     return total, layers
@@ -243,8 +244,10 @@ class FusionParams:
 
 def gate_alpha(h_diff: np.ndarray, h_adv: np.ndarray,
                params: FusionParams) -> np.ndarray:
-    return ad.logistic(h_diff @ params.w_diff.data + h_adv @ params.w_adv.data
-                       + params.b.data)
+    pre = h_diff @ params.w_diff.data  # a new array, so summed into in place
+    pre += h_adv @ params.w_adv.data
+    pre += params.b.data
+    return ad.logistic(pre)
 
 
 def _gate_vjp(g: np.ndarray, h_diff: np.ndarray, h_adv: np.ndarray,
@@ -333,7 +336,8 @@ class DEFunction:
             raise DimensionError(
                 f"state {z.shape} does not match flow laplacian "
                 f"{self.flow_lap.shape}")
-        mode, flow_lap, raw = self.gate_mode, self.flow_lap, self.diffusion_coeff_raw
+        mode, flow_lap = self.gate_mode, self.flow_lap
+        raw = self.diffusion_coeff_raw
         dist = self.dist_tensor.data
         coeff = np.logaddexp(0.0, raw.data)  # softplus
         if mode != "adv_only":
@@ -343,13 +347,19 @@ class DEFunction:
                                             self.adv_branch)
         if mode == "diff_only":
             out = -(h_diff * coeff)
-            mixed = (h_diff,)  # what the VJP reads besides the branches
         elif mode == "adv_only":
-            out, mixed = -h_adv, ()
+            out = -h_adv
         else:
             alpha = gate_alpha(h_diff, h_adv, self.fusion)
-            out = -(alpha * (h_diff * coeff) + (1.0 - alpha) * h_adv)
-            mixed = (h_diff, h_adv, alpha)
+            # -(alpha*(h_diff*k) + (1 - alpha)*h_adv), in place on new arrays
+            out = h_diff * coeff
+            out *= alpha
+            rest = 1.0 - alpha
+            rest *= h_adv
+            out += rest
+            np.negative(out, out=out)
+        if not ad.grad_enabled():  # nothing is recorded: skip the inputs
+            return ad.record(out, (), None)
         # the inputs in the order the composed tape replays them: the
         # advection branch's, the diffusion branch's, the gate's weights and
         # the coefficient
@@ -368,12 +378,12 @@ class DEFunction:
             g = -g
             if mode == "learned":
                 g_adv, g_diff, g_coeff, gate_cts = _gate_vjp(
-                    g, *mixed, coeff, self.fusion)
+                    g, h_diff, h_adv, alpha, coeff, self.fusion)
             elif mode == "adv_only":
                 g_adv = g
             else:
                 g_diff, gate_cts = g * coeff, []
-                g_coeff = unbroadcast(g * mixed[0], np.shape(coeff))
+                g_coeff = unbroadcast(g * h_diff, np.shape(coeff))
             if mode != "diff_only":
                 yield from _branch_vjp(g_adv, flow_lap.data, adv_layers,
                                        self.adv_branch, need_z, need_lap)

@@ -466,7 +466,7 @@ def test_failure_in_a_recompute_leaves_tape_empty_and_recording_on(rng, where):
 
     def step(i, z):
         z = ad.tanh(ad.matmul(z, w))
-        if ad._grad_enabled():  # only when backward() runs the step again
+        if ad.grad_enabled():  # only when backward() runs the step again
             if where == "step":
                 raise RuntimeError("step failed")
             z = ad.record(z.data, (z,), fail)
@@ -475,7 +475,7 @@ def test_failure_in_a_recompute_leaves_tape_empty_and_recording_on(rng, where):
     loss = ad.reduce_sum(ad.checkpoint_steps(step, z0, 3))
     with pytest.raises(RuntimeError, match=f"{where} failed"):
         backward(loss)
-    assert tape_size() == 0 and ad._grad_enabled()
+    assert tape_size() == 0 and ad.grad_enabled()
     # the next forward records on the thread's tape as usual
     w.zero_grad()
     y = ad.tanh(ad.matmul(z0, w))
@@ -495,7 +495,7 @@ def test_checkpoint_steps_refuses_a_step_that_changed_before_backward(rng):
     w.data[0, 0] += 1.0
     with pytest.raises(ContractError, match="^step 2 computed other values"):
         backward(loss)
-    assert tape_size() == 0 and ad._grad_enabled()
+    assert tape_size() == 0 and ad.grad_enabled()
 
 
 def test_gradients_exact_when_intermediate_ids_are_reused(rng):
@@ -514,7 +514,7 @@ def test_gradients_exact_when_intermediate_ids_are_reused(rng):
         y = x
         for _ in range(12):
             y = ad.tanh(ad.add(ad.matmul(y, w), ad.mul(y, 0.5)))
-            if ad._grad_enabled():
+            if ad.grad_enabled():
                 ids.append(id(y))
         return ad.reduce_sum(ad.mul(y, y))
 

@@ -187,6 +187,9 @@ def test_cheb_branch_shape_validation(rng):
         cheb_branch(np.zeros((4, 3)), np.zeros((4, 3)), params)
     with pytest.raises(DimensionError):
         cheb_branch(np.zeros((4, 4)), np.zeros((5, 3)), params)
+    for state in ((4, 3), (3, 4, 3)):  # a stack needs a minibatch its size
+        with pytest.raises(DimensionError):
+            cheb_branch(np.zeros((2, 4, 4)), np.zeros(state), params)
 
 
 def test_cheb_params_validation(rng):

@@ -84,6 +84,28 @@ def test_rhs_is_bitwise_the_composed_primitives(rng, gate_mode, n, batch):
 
 
 @pytest.mark.parametrize("gate_mode", GATE_MODES)
+@pytest.mark.parametrize("batch", [17, None])
+def test_rhs_flow_laplacian_gradient_is_bitwise_the_composed(rng, gate_mode,
+                                                            batch):
+    # the flow Laplacian as a leaf, read by two calls: its own gradient,
+    # which reaches the flow net through flow_scaled_laplacian
+    func = make_rhs(rng, 11, 16, gate_mode)
+    lead = (11,) if batch is None else (batch, 11)
+    lap = rng.standard_normal(lead + (11,)) * 0.3
+    z = Tensor(rng.standard_normal(lead + (16,)), requires_grad=True)
+    weights = Tensor(rng.standard_normal(lead + (16,)))
+    grads = []
+    for rhs in (composed_rhs, fused):
+        func.flow_lap = Parameter(lap, "flow_lap")
+        k1 = rhs(func, z)
+        backward(ad.reduce_sum(ad.mul(k1 + rhs(func, z + k1 * 0.5),
+                                      weights)))
+        grads.append(func.flow_lap.grad)
+    assert np.array_equal(*grads)
+    assert grads[0].any() == (gate_mode != "diff_only")
+
+
+@pytest.mark.parametrize("gate_mode", GATE_MODES)
 @pytest.mark.parametrize("n, latent, batch, order, layers", [
     (1, 1, None, 1, 1), (2, 1, 1, 1, 1), (2, 2, 3, 2, 3), (3, 1, None, 4, 1)])
 def test_rhs_is_bitwise_the_composed_primitives_at_tiny_shapes(
